@@ -75,7 +75,6 @@ from repro.serving import (
     generate_request_arenas,
     parse_chaos_spec,
     parse_priority_spec,
-    synthetic_request_arenas,
 )
 from repro.stats import analytic_profile
 from repro.stats.summary import characterization_summary, format_summary
@@ -490,13 +489,9 @@ def _cmd_serve(args) -> int:
             print(f"error: --chaos: {exc}", file=sys.stderr)
             return 2
     if args.workers and args.drift_months > 0:
-        print("error: --workers serves a fixed plan; --drift-months "
-              "requires the single-process runtime (--workers 0)",
-              file=sys.stderr)
-        return 2
-    if args.burst and args.drift_months > 0:
-        print("error: --burst streams have no drift model; drop "
-              "--drift-months", file=sys.stderr)
+        print("error: drift replanning is single-process only; the "
+              "--workers pool serves a fixed plan (drop --drift-months "
+              "or use --workers 0)", file=sys.stderr)
         return 2
     if args.paced and not args.workers:
         print("error: --paced (wall-clock pacing + shedding) requires "
@@ -605,8 +600,9 @@ def _cmd_serve(args) -> int:
         replication = ReplicationPolicy(
             capacity_bytes=int(args.replicate_gib * GIB * topo_scale)
         )
-    # Stream: inline Poisson by default; an explicit arrival process
-    # (bursty on/off) through the loadgen when --burst is given.
+    # Stream: one seeded generator whatever the traffic shape.  Drift
+    # moves lookup content only and QoS columns come from their own RNG
+    # stream, so neither shifts any arrival time.
     if args.burst:
         process = BurstyArrivals(
             burst_qps=(
@@ -620,47 +616,23 @@ def _cmd_serve(args) -> int:
             burst_ms=args.burst_ms,
             idle_ms=args.idle_ms,
         )
-        arenas = generate_request_arenas(
-            model, args.requests, process, seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
         offered = (f"bursty {process.burst_qps:.0f}/{process.idle_qps:.0f} "
                    f"QPS over {process.burst_ms:g}/{process.idle_ms:g} ms "
                    f"(mean {process.mean_qps:.0f})")
-    elif with_qos and args.drift_months <= 0:
-        # QoS columns ride the loadgen stream; PoissonArrivals
-        # bit-reproduces the inline generator's timestamps, so adding
-        # deadlines/priorities changes no arrival or lookup content.
-        arenas = generate_request_arenas(
-            model, args.requests, PoissonArrivals(args.qps),
-            seed=args.seed,
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
-        offered = f"offered load {args.qps:.0f} QPS"
     else:
-        # The synthetic stream carries drift and the QoS columns
-        # together: deadlines/priorities come from a dedicated RNG
-        # stream, so they match the undrifted stream's columns
-        # bit-for-bit, and the overload controller's EWMA/admission
-        # state lives on the server — drift replans swap only the plan.
-        drift = None
-        if args.drift_months > 0:
-            drift = DriftModel(feature_noise=4.0, alpha_noise=4.0)
-        arenas = synthetic_request_arenas(
-            model,
-            num_requests=args.requests,
-            qps=args.qps,
-            seed=args.seed,
-            drift=drift,
-            months_per_request=(
-                args.drift_months / args.requests if args.requests else 0.0
-            ),
-            deadline_ms=args.deadline_ms,
-            priority_shares=priority_shares,
-        )
+        process = PoissonArrivals(args.qps)
         offered = f"offered load {args.qps:.0f} QPS"
+    arenas = generate_request_arenas(
+        model, args.requests, process, seed=args.seed,
+        deadline_ms=args.deadline_ms,
+        priority_shares=priority_shares,
+        drift=(
+            DriftModel(feature_noise=4.0, alpha_noise=4.0)
+            if args.drift_months > 0
+            else None
+        ),
+        months_per_request=args.drift_months / args.requests,
+    )
     tiers = "/".join(topology.tier_names)
     if args.workers:
         server = MultiProcessServer(
@@ -881,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "requires --workers")
             p.add_argument("--drift-months", type=float, default=0.0,
                            help="months of statistics drift to fast-forward "
-                                "across the stream (0 = stationary)")
+                                "across the stream (0 = stationary; "
+                                "single-process only)")
             p.add_argument("--drift-threshold", type=float, default=5.0,
                            help="pooling drift %% that triggers a replan")
             p.add_argument("--drift-min-samples", type=int, default=1024,

@@ -116,9 +116,6 @@ class ShardingPlan:
         """Rows placed on one tier across all devices."""
         return sum(p.rows_per_tier[tier_index] for p in self.placements)
 
-    def num_devices_used(self) -> int:
-        return len({p.device for p in self.placements})
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------

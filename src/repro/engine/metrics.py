@@ -135,19 +135,6 @@ class RunMetrics:
             return 0
         return int(self.browned_out.sum())
 
-    def browned_fraction(self) -> float:
-        """Skipped cold-tier lookups over everything classified (served
-        plus skipped) — the coverage loss brownout trades for latency
-        (0 when brownout never engaged)."""
-        if self.browned_out is None:
-            return 0.0
-        served = sum(counts.sum() for counts in self.tier_accesses.values())
-        skipped = self.browned_out.sum()
-        total = served + skipped
-        if total == 0:
-            return 0.0
-        return float(skipped / total)
-
     def device_access_totals(self) -> np.ndarray:
         """Accesses served per device, summed over tiers and iterations."""
         totals = np.zeros(self.num_devices, dtype=np.int64)
@@ -164,10 +151,3 @@ class RunMetrics:
         if mean <= 0:
             return 0.0
         return float(totals.max() / mean)
-
-    def table5_row(self) -> dict[str, float]:
-        """Per-tier average accesses per GPU-iteration (a Table 5 row)."""
-        return {
-            tier: self.avg_accesses_per_gpu_iteration(tier)
-            for tier in self.tier_accesses
-        }

@@ -42,11 +42,12 @@ Components:
   :func:`~repro.serving.faults.parse_chaos_spec`) replayed on the
   serving clock; drives the degraded-mode failover, emergency replan,
   and self-healing worker-pool drills.
-* :mod:`~repro.serving.loadgen` — first-class arrival processes
+* :mod:`~repro.serving.loadgen` — the one seeded request generator
+  (:func:`~repro.serving.loadgen.generate_request_arenas`) over
+  first-class arrival processes
   (:class:`~repro.serving.loadgen.PoissonArrivals`,
-  :class:`~repro.serving.loadgen.BurstyArrivals`) for open-loop load
-  generation under arbitrary traffic shapes, with optional per-request
-  deadline budgets and priority classes.
+  :class:`~repro.serving.loadgen.BurstyArrivals`), with optional
+  statistics drift, per-request deadline budgets and priority classes.
 * :mod:`~repro.serving.overload` — SLO-driven overload control
   (:class:`~repro.serving.overload.OverloadControl`): deadline-aware
   admission from an EWMA service-time estimator, priority-class

@@ -1,18 +1,18 @@
 """Open-loop load generation for the serving runtimes.
 
-The single-process simulator draws Poisson arrivals inline
-(:func:`~repro.serving.server.synthetic_request_arenas`); the
-multi-process runtime needs the arrival *process* as a first-class
-object so the same request stream can be generated under different
-traffic shapes — steady Poisson for scaling measurements, bursty
-on/off cycles for overload and shedding tests.
+:func:`generate_request_arenas` is the one seeded request generator:
+every stream the single-process server, the worker pool, the CLI and
+the benchmarks serve comes out of its chunk loop.  The traffic shape is
+a first-class :class:`ArrivalProcess` — steady Poisson for scaling
+measurements, bursty on/off cycles for overload and shedding tests —
+and optional feature-statistics drift and QoS columns ride the same
+loop, so any shape can drift and carry deadlines/priorities.
+:func:`~repro.serving.server.synthetic_request_arenas` is the Poisson
+shorthand over it.
 
 Both processes here are frozen dataclasses whose arrival draws are pure
-functions of ``(rng, now_ms, count)``: streams replay bit-for-bit per
-seed, and :class:`PoissonArrivals` reproduces the inline generator's
-gap sequence exactly (same ``rng.exponential`` call, same prepended
-cumulative sum), so swapping a ``qps`` float for
-``PoissonArrivals(qps)`` changes nothing downstream.
+functions of ``(rng, now_ms, count)``, so streams replay bit-for-bit per
+seed (``tests/test_serving/test_stream_digest.py`` pins three of them).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
+from repro.data.drift import DriftModel
 from repro.data.model import ModelSpec
 from repro.data.synthetic import SamplerBank
 from repro.serving.arena import RequestArena
@@ -46,11 +47,6 @@ class ArrivalProcess(Protocol):
 class PoissonArrivals:
     """Steady open-loop traffic: exponential gaps at a fixed rate.
 
-    Bit-reproduces the gap sequence of
-    :func:`~repro.serving.server.synthetic_request_arenas` for the same
-    generator state, so single- and multi-process runs of the same
-    seeded stream see identical timestamps.
-
     Attributes:
         qps: mean arrival rate (requests/second, > 0).
     """
@@ -70,7 +66,7 @@ class PoissonArrivals:
     ) -> np.ndarray:
         gaps = rng.exponential(1e3 / self.qps, size=count)
         # Prepending ``now`` keeps float associativity identical to a
-        # scalar ``now += gap`` loop (see synthetic_request_arenas).
+        # scalar ``now += gap`` loop, so seeded streams replay exactly.
         return np.cumsum(np.concatenate(([now_ms], gaps)))[1:]
 
 
@@ -172,16 +168,23 @@ def generate_request_arenas(
     chunk_size: int = 512,
     deadline_ms: float | None = None,
     priority_shares: tuple[float, ...] | None = None,
+    drift: DriftModel | None = None,
+    months_per_request: float = 0.0,
 ) -> Iterator[RequestArena]:
-    """Seeded open-loop arena stream under an arbitrary arrival process.
+    """Seeded open-loop request stream, columnar.
 
-    The traffic-shape-generic twin of
-    :func:`~repro.serving.server.synthetic_request_arenas`: sample
-    content is drawn identically (same per-chunk child seeds from the
-    same parent generator), only the timestamps come from ``process``.
-    With ``PoissonArrivals(qps)`` the two functions yield bit-identical
-    streams per seed — pinned by the loadgen tests and relied on by the
-    mp-vs-single-process parity suite.
+    Chunks of samples are drawn feature-major from the model's feature
+    statistics, each from its own child seed of the parent generator,
+    and timestamped by ``process``; each chunk is one
+    :class:`~repro.serving.arena.RequestArena`.  With a ``drift``
+    model, each successive chunk is drawn from feature statistics
+    drifted to ``months_per_request * requests_so_far`` —
+    fast-forwarding the months-long drift of Figure 9 into one serving
+    run so drift-triggered replanning can be exercised end to end.
+    Per-feature sampler state (hashed value space, post-hash CDFs) is
+    reused across chunks and only rebuilt for the spec fields drift
+    actually changed.  Drift moves lookup content only: arrivals and
+    QoS columns match the undrifted stream's bit for bit.
 
     Args:
         model: workload spec.
@@ -197,6 +200,8 @@ def generate_request_arenas(
             ``priority_shares[i]``; shares must be positive and sum to
             1).  Drawn from a dedicated RNG stream, so arrivals and
             lookup content stay bit-identical with QoS on or off.
+        drift: optional :class:`~repro.data.drift.DriftModel`.
+        months_per_request: simulated months elapsed per request.
 
     Yields:
         :class:`~repro.serving.arena.RequestArena` chunks in arrival
@@ -222,6 +227,7 @@ def generate_request_arenas(
     qos_rng = (
         np.random.default_rng((seed, _QOS_STREAM)) if with_qos else None
     )
+    drifting = drift is not None and months_per_request > 0
     rng = np.random.default_rng(seed)
     bank = SamplerBank()
     bank.refresh(model)
@@ -229,6 +235,8 @@ def generate_request_arenas(
     emitted = 0
     while emitted < num_requests:
         count = min(chunk_size, num_requests - emitted)
+        if drifting and emitted:
+            bank.refresh(drift.drift_model(model, months_per_request * emitted))
         chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
         batch = bank.sample_batch(count, chunk_rng)
         arrivals = process.arrivals(rng, now, count)

@@ -21,7 +21,14 @@ pool of executor workers):
   the small per-table count matrices back on a results queue;
 * the front-end **aggregator** replays the stateful *reduction* — count
   pooling, least-loaded replica routing, the single simulated engine
-  clock — strictly in release (``seq``) order.
+  clock — strictly in release (``seq``) order, through the in-process
+  :class:`~repro.serving.server.LookupServer` spine's one accounting
+  step (``LookupServer._account``: fault delivery, brownout decision,
+  busy clock, ``record_batch``, overload feedback).  Only the source of
+  the per-device result differs from the single-process loop: the
+  spine reduces counts the workers classified
+  (:meth:`~repro.engine.executor.ShardedExecutor.reduce_classified`)
+  instead of running the whole batch in process.
 
 That classification/reduction split is what makes worker count a pure
 throughput knob: replica routing and the busy-clock are sequential
@@ -45,9 +52,12 @@ Two serving modes:
   keeps the queue bounded by construction and
   ``offered == served + shed`` exactly.
 
-The plan is fixed for the lifetime of the pool (drift-triggered
-replanning remains a single-process feature; a replan would invalidate
-every worker's executor mid-stream).
+The plan is fixed for the lifetime of the pool: the pool refuses
+replans (drift-triggered or emergency) until plan epochs exist — a way
+to hand workers a new plan at a batch boundary and reduce late results
+under the plan they were classified with.  Until then a replan would
+invalidate every worker's executor mid-stream, so drift replanning is
+single-process only.
 """
 
 from __future__ import annotations
@@ -144,11 +154,14 @@ class MultiProcessServer:
     (same ``plan=``/``sharder=`` choice, cache/staging/replication
     lanes, :class:`~repro.serving.server.ServingConfig` tunables) — a
     ``sharder`` is used once to build the initial plan and then
-    dropped, because the pool serves a frozen plan.  The front-end
-    keeps an in-process :class:`LookupServer` as the aggregation spine:
-    its executor performs the sequential reductions and its metrics
-    object accumulates the merged results, so summaries and reports
-    come out in exactly the single-process schema.
+    dropped: the pool refuses replans, drift-triggered or emergency,
+    until plan epochs let workers switch plans at a batch boundary.
+    The front-end keeps an in-process :class:`LookupServer` as the
+    aggregation spine: every classified batch goes through the spine's
+    accounting step, its executor performs the sequential reductions
+    and its metrics object accumulates the merged results, so
+    summaries and reports come out in exactly the single-process
+    schema.
 
     Args:
         model, profile, topology, plan, sharder, config, cache,
@@ -236,8 +249,8 @@ class MultiProcessServer:
             overload=overload,
         )
         # Freeze the plan: the pool never replans, so the spine's drift
-        # machinery (monitor, profiler, sharder) is dropped and its
-        # _execute-equivalent below skips the observation branch.
+        # machinery (monitor, profiler, sharder) is dropped; without a
+        # sharder a device failure runs reroute-only degraded mode.
         spine.sharder = None
         spine.monitor = None
         spine._profiler = None
@@ -617,12 +630,19 @@ class MultiProcessServer:
         except path).
         """
         self._pull_results(pending, results, block_s)
+        spine = self._spine
         while cursor in results:
             counts, hits, replicas, cuts = results.pop(cursor)
             _, arrivals, trigger, deadlines, priorities = pending.pop(cursor)
-            self._account(
-                counts, hits, replicas, cuts, trigger, arrivals,
-                deadlines, priorities,
+            spine._account(
+                lambda: spine.executor.reduce_classified(
+                    counts, hits, replicas, cuts
+                ),
+                int(counts.sum()),
+                trigger,
+                arrivals,
+                deadlines,
+                priorities,
             )
             cursor += 1
         return cursor
@@ -666,75 +686,6 @@ class MultiProcessServer:
             owner.close()
             owner.unlink()
             results[got_seq] = (counts, hits, replicas, cuts)
-
-    def _account(
-        self, counts, hits, replicas, cuts, trigger_ms, arrivals_ms,
-        deadlines_ms=None, priorities=None,
-    ):
-        """Reduce one classified batch on the spine (sequential state).
-
-        Mirrors ``LookupServer._execute`` exactly, with the executor's
-        :meth:`~repro.engine.executor.ShardedExecutor.reduce_classified`
-        standing in for ``run_batch`` — same busy-clock advance, same
-        brownout decision point, same ``record_batch`` call — which is
-        why the merged metrics match the single-process run bit for
-        bit.
-        """
-        spine = self._spine
-        start = max(trigger_ms, spine._busy_until_ms)
-        if spine._chaos_armed:
-            # Device events land here, in batch order on the simulated
-            # clock — the same point the single-process loop applies
-            # them.  The spine has no sharder, so a device failure runs
-            # reroute-only degraded mode (no emergency replan on a
-            # frozen plan).
-            spine._apply_due_faults(trigger_ms, start)
-        ctrl = spine._ovl
-        brownout_now = False
-        if ctrl is not None and ctrl.control.brownout:
-            active = ctrl.update_brownout()
-            if active != spine.executor.brownout_active:
-                spine.executor.set_brownout(active)
-                spine.metrics.record_brownout(start, active)
-            brownout_now = active
-        # Full classified lookup count, before the brownout/fault
-        # reductions reshape the served matrix — the single-process
-        # loop's ``batch.total_lookups``.
-        total_classified = int(counts.sum())
-        device_times, accesses, _, reps = spine.executor.reduce_classified(
-            counts, hits, replicas, cuts
-        )
-        service = (
-            float(device_times.max()) + spine.config.overhead_ms_per_batch
-        )
-        finish = start + service
-        spine._busy_until_ms = finish
-        faults_active = spine._chaos_armed and spine.executor.has_faults
-        spine.metrics.record_batch(
-            arrivals_ms,
-            start_ms=start,
-            finish_ms=finish,
-            device_times_ms=device_times,
-            total_lookups=int(accesses.sum()),
-            tier_accesses=accesses,
-            replica_accesses=(
-                reps if spine.executor.replication is not None else None
-            ),
-            dropped_lookups=(
-                spine.executor.last_dropped.copy() if faults_active else None
-            ),
-            deadlines_ms=deadlines_ms,
-            priorities=priorities,
-            browned_lookups=(
-                spine.executor.last_browned.copy() if brownout_now else None
-            ),
-        )
-        if ctrl is not None:
-            ctrl.observe_batch(
-                service,
-                total_classified,
-                finish - np.asarray(arrivals_ms, dtype=np.float64),
-            )
 
     def _fire_worker_faults(
         self, trigger_ms: float, pending: dict, results: dict

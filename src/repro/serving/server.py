@@ -58,14 +58,13 @@ from repro.core.workspace import PlannerWorkspace
 from repro.data.batch import JaggedBatch
 from repro.data.drift import DriftModel
 from repro.data.model import ModelSpec
-from repro.data.synthetic import SamplerBank
 from repro.engine.cache import CacheModel, TierStagingModel
 from repro.engine.executor import ShardedExecutor
 from repro.engine.ranked import RankRemapper
 from repro.memory.topology import SystemTopology
 from repro.serving.arena import RequestArena
 from repro.serving.faults import FaultInjector, FaultSchedule
-from repro.serving.loadgen import _QOS_STREAM
+from repro.serving.loadgen import PoissonArrivals, generate_request_arenas
 from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadControl, OverloadController
 from repro.serving.queue import (
@@ -315,24 +314,13 @@ class LookupServer:
             and getattr(sharder, "vectorized", False)
         )
         self._workspace: PlannerWorkspace | None = None
-        self.queue = MicroBatchQueue(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
         self.overload = overload
         self._ovl = (
             OverloadController(overload, self.config.overhead_ms_per_batch)
             if overload is not None
             else None
         )
-        self.metrics = ServingMetrics(
-            num_devices=topology.num_devices,
-            tier_names=topology.tier_names,
-            priority_names=overload.priority_names if overload else None,
-            tier_precisions=topology.tier_precisions,
-        )
-        self._busy_until_ms = 0.0
-        self._batches_since_check = 0
+        self._new_stream()
         self._num_installs = 0
         # Chaos drills: scripted device faults replayed on the serving
         # clock, plus the deferred-commit slot for an emergency replan
@@ -343,14 +331,11 @@ class LookupServer:
         self._injector = FaultInjector(chaos) if chaos is not None else None
         self._chaos_armed = self._injector is not None
         self._emergency_commit_ms = emergency_commit_ms
-        self._pending_install: tuple | None = None
-        if plan is not None and self.replication is not None:
+        if plan is not None:
             # Fixed plan + policy: select the replica set once.  The
             # plan must leave the budget's worth of headroom (validated
             # when the executor installs it).
-            plan = build_replication(
-                self.replication, plan, profile, self.model, self.topology
-            )
+            plan = self._replicate(plan, profile)
         self._install(
             plan if plan is not None else self._build_plan(profile), profile
         )
@@ -359,17 +344,31 @@ class LookupServer:
         # a second stream replay the no-fault baseline bit for bit.
         self._initial_install = (self.plan, self.profile)
 
-    def _build_plan(self, profile, warm_start=None):
-        """Shard from ``profile``, reusing the server's planner state.
+    def _new_stream(self) -> None:
+        """Fresh per-stream state: admission queue, metrics, clock."""
+        self.queue = MicroBatchQueue(
+            max_batch_size=self.config.max_batch_size,
+            max_delay_ms=self.config.max_delay_ms,
+        )
+        self.metrics = ServingMetrics(
+            num_devices=self.topology.num_devices,
+            tier_names=self.topology.tier_names,
+            priority_names=(
+                self.overload.priority_names if self.overload else None
+            ),
+            tier_precisions=self.topology.tier_precisions,
+        )
+        self._busy_until_ms = 0.0
+        self._batches_since_check = 0
+        self._pending_install: tuple | None = None
+
+    def _shard(self, profile, topology, warm_start=None):
+        """Run the sharder on ``topology``, reusing the server's planner state.
 
         Warm start (previous plan's cut points and homes) and the
         in-place-refreshed :class:`PlannerWorkspace` are both handed to
         sharders that support them — together they are what keeps
         ``replan_build_ms`` a repair cost rather than a rebuild cost.
-        With replication enabled the sharder plans against the carved
-        topology and the replica set is recomputed from the same
-        refreshed workspace, so drift replans rebalance the replica
-        lane along with the placement.
         """
         kwargs = {}
         if self._sharder_takes_workspace:
@@ -385,15 +384,26 @@ class LookupServer:
             if isinstance(warm_start, ReplicatedPlan):
                 warm_start = warm_start.plan
             kwargs["warm_start"] = warm_start
-        plan = self.sharder.shard(
-            self.model, profile, self._plan_topology, **kwargs
+        return self.sharder.shard(self.model, profile, topology, **kwargs)
+
+    def _replicate(self, plan, profile):
+        """Select the replica set for ``plan`` (no-op without a policy).
+
+        A sharder-built plan reuses the workspace the sharder just
+        refreshed, so replans rebalance the replica lane along with
+        the placement.
+        """
+        if self.replication is None:
+            return plan
+        return build_replication(
+            self.replication, plan, profile, self.model, self.topology,
+            workspace=self._workspace if self._sharder_takes_workspace else None,
         )
-        if self.replication is not None:
-            plan = build_replication(
-                self.replication, plan, profile, self.model, self.topology,
-                workspace=kwargs.get("workspace"),
-            )
-        return plan
+
+    def _build_plan(self, profile, warm_start=None):
+        """Shard from ``profile`` on the (replica-carved) topology."""
+        plan = self._shard(profile, self._plan_topology, warm_start)
+        return self._replicate(plan, profile)
 
     def _install(self, plan, profile) -> None:
         """Activate ``plan`` (initial install or drift replan swap)."""
@@ -451,21 +461,7 @@ class LookupServer:
         is one-shot per arming); pass ``rearm_chaos=True`` to rewind it
         and run the drill again instead.
         """
-        self.queue = MicroBatchQueue(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
-        self.metrics = ServingMetrics(
-            num_devices=self.topology.num_devices,
-            tier_names=self.topology.tier_names,
-            priority_names=(
-                self.overload.priority_names if self.overload else None
-            ),
-            tier_precisions=self.topology.tier_precisions,
-        )
-        self._busy_until_ms = 0.0
-        self._batches_since_check = 0
-        self._pending_install = None
+        self._new_stream()
         if self._injector is not None:
             self._injector.reset()
             self._chaos_armed = rearm_chaos
@@ -613,7 +609,51 @@ class LookupServer:
         deadlines_ms=None,
         priorities=None,
     ) -> None:
-        """Execute one released microbatch and account it."""
+        """Execute one released microbatch in process, account it, and
+        feed the drift monitor."""
+        finish = self._account(
+            lambda: self.executor.run_batch(batch),
+            batch.total_lookups,
+            trigger_ms,
+            arrivals_ms,
+            deadlines_ms,
+            priorities,
+        )
+        if self.sharder is None:
+            return
+        # Two deliberate accumulators: the monitor watches *all* served
+        # traffic (cheap per-feature tallies, accurate drift signal);
+        # the profiler Bernoulli-subsamples at profile_sample_rate to
+        # bound the cost of the full per-row counts a replan needs.
+        self.monitor.observe(batch)
+        self._profiler.consume(batch)
+        self._batches_since_check += 1
+        if self._batches_since_check >= self.config.drift_check_every_batches:
+            self._batches_since_check = 0
+            if self.monitor.should_replan():
+                self._replan(finish, on_replan)
+
+    def _account(
+        self,
+        run: Callable[[], tuple],
+        lookups: int,
+        trigger_ms: float,
+        arrivals_ms,
+        deadlines_ms=None,
+        priorities=None,
+    ) -> float:
+        """Run one released microbatch on the engine clock and record it.
+
+        The one accounting step of both runtimes: deliver due faults
+        (and commit a pending emergency plan), take the brownout
+        decision, call ``run`` for the per-device result, advance the
+        busy clock, record the batch, and feed the overload controller.
+        ``run`` returns ``run_batch``'s 4-tuple — the in-process loop
+        classifies and reduces there, the worker pool's front end
+        reduces counts its workers classified.  ``lookups`` is the
+        batch's full classified lookup count, before brownout or fault
+        drops reshape the served matrix.  Returns the finish time.
+        """
         start = max(trigger_ms, self._busy_until_ms)
         if self._chaos_armed:
             self._apply_due_faults(trigger_ms, start)
@@ -627,7 +667,7 @@ class LookupServer:
                 self.executor.set_brownout(active)
                 self.metrics.record_brownout(start, active)
             brownout_now = active
-        device_times, accesses, _, replicas = self.executor.run_batch(batch)
+        device_times, accesses, _, replicas = run()
         service = float(device_times.max()) + self.config.overhead_ms_per_batch
         finish = start + service
         self._busy_until_ms = finish
@@ -656,22 +696,10 @@ class LookupServer:
         if ctrl is not None:
             ctrl.observe_batch(
                 service,
-                batch.total_lookups,
+                lookups,
                 finish - np.asarray(arrivals_ms, dtype=np.float64),
             )
-        if self.sharder is None:
-            return
-        # Two deliberate accumulators: the monitor watches *all* served
-        # traffic (cheap per-feature tallies, accurate drift signal);
-        # the profiler Bernoulli-subsamples at profile_sample_rate to
-        # bound the cost of the full per-row counts a replan needs.
-        self.monitor.observe(batch)
-        self._profiler.consume(batch)
-        self._batches_since_check += 1
-        if self._batches_since_check >= self.config.drift_check_every_batches:
-            self._batches_since_check = 0
-            if self.monitor.should_replan():
-                self._replan(finish, on_replan)
+        return finish
 
     def _replan(
         self, now_ms: float, on_replan: Callable[[float], None] | None = None
@@ -789,21 +817,7 @@ class LookupServer:
             strategy=base.strategy, placements=placements,
             metadata=dict(base.metadata),
         )
-        kwargs = {}
-        if self._sharder_takes_workspace:
-            if self._workspace is None:
-                self._workspace = PlannerWorkspace(
-                    self.model, self.profile,
-                    steps=getattr(self.sharder, "steps", 100),
-                )
-            else:
-                self._workspace.refresh(self.profile)
-            kwargs["workspace"] = self._workspace
-        if self._sharder_warm_starts:
-            kwargs["warm_start"] = warm
-        plan = self.sharder.shard(
-            self.model, self.profile, reduced, **kwargs
-        )
+        plan = self._shard(self.profile, reduced, warm_start=warm)
         plan = ShardingPlan(
             strategy=plan.strategy,
             placements=[
@@ -814,12 +828,7 @@ class LookupServer:
             ],
             metadata=dict(plan.metadata),
         )
-        if self.replication is not None:
-            plan = build_replication(
-                self.replication, plan, self.profile, self.model,
-                self.topology, workspace=kwargs.get("workspace"),
-            )
-        return plan
+        return self._replicate(plan, self.profile)
 
     def _maybe_commit_emergency(self, start_ms: float) -> None:
         """Swap in the pending emergency plan once its build time has
@@ -852,110 +861,19 @@ def synthetic_request_arenas(
     deadline_ms: float | None = None,
     priority_shares: tuple[float, ...] | None = None,
 ) -> Iterator[RequestArena]:
-    """Generate a seeded open-loop request stream, columnar.
+    """Seeded open-loop Poisson stream at offered load ``qps``, columnar.
 
-    Chunks of samples are drawn feature-major from the model's feature
-    statistics and assigned Poisson arrivals at the offered ``qps``;
-    each chunk is one :class:`~repro.serving.arena.RequestArena`.  With
-    a ``drift`` model, each successive chunk is drawn from feature
-    statistics drifted to ``months_per_request * requests_so_far`` —
-    fast-forwarding the months-long drift of Figure 9 into one serving
-    run so drift-triggered replanning can be exercised end to end.
-    Per-feature sampler state (hashed value space, post-hash CDFs) is
-    reused across chunks and only rebuilt for the spec fields drift
-    actually changed.
-
-    The per-request view of the same stream is
-    :func:`synthetic_request_stream`; both yield identical content per
-    seed.
-
-    Args:
-        model: workload spec.
-        num_requests: stream length.
-        qps: offered load (mean arrival rate, requests/second).
-        seed: RNG seed; streams replay identically per seed.
-        start_ms: timestamp of the stream's start.
-        drift: optional :class:`~repro.data.drift.DriftModel`.
-        months_per_request: simulated months elapsed per request.
-        chunk_size: samples drawn per arena chunk (efficiency knob).
-        deadline_ms: when set (> 0), every request carries the absolute
-            deadline ``arrival + deadline_ms``.
-        priority_shares: when set, per-request priority classes are
-            drawn i.i.d. with these probabilities (shares must be
-            positive and sum to 1).  Like the loadgen twin, QoS columns
-            come from a dedicated RNG stream
-            (``default_rng((seed, 0x51D))``), so arrivals and lookup
-            content stay bit-identical with QoS on or off — and, with
-            drift, identical to the undrifted stream's QoS columns.
-
-    Yields:
-        :class:`~repro.serving.arena.RequestArena` chunks in arrival
-        order.
+    Shorthand for :func:`~repro.serving.loadgen.generate_request_arenas`
+    with ``PoissonArrivals(qps)``; every other argument is passed
+    through.  The per-request view of the same stream is
+    :func:`synthetic_request_stream`.
     """
-    if num_requests < 0:
-        raise ValueError("num_requests must be >= 0")
-    if qps <= 0:
-        raise ValueError("qps must be > 0")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if deadline_ms is not None and deadline_ms <= 0:
-        raise ValueError("deadline_ms must be > 0")
-    shares = None
-    if priority_shares is not None:
-        shares = np.asarray(priority_shares, dtype=np.float64)
-        if shares.size == 0 or np.any(shares <= 0):
-            raise ValueError("priority shares must be positive")
-        if abs(float(shares.sum()) - 1.0) > 1e-6:
-            raise ValueError(
-                f"priority shares must sum to 1, got {float(shares.sum())}"
-            )
-        shares = shares / shares.sum()
-    with_qos = deadline_ms is not None or shares is not None
-    qos_rng = (
-        np.random.default_rng((seed, _QOS_STREAM)) if with_qos else None
+    yield from generate_request_arenas(
+        model, num_requests, PoissonArrivals(qps),
+        seed=seed, start_ms=start_ms, chunk_size=chunk_size,
+        deadline_ms=deadline_ms, priority_shares=priority_shares,
+        drift=drift, months_per_request=months_per_request,
     )
-    rng = np.random.default_rng(seed)
-    bank = SamplerBank()
-    now = float(start_ms)
-    emitted = 0
-    while emitted < num_requests:
-        count = min(chunk_size, num_requests - emitted)
-        chunk_model = model
-        if drift is not None and months_per_request > 0:
-            month = months_per_request * emitted
-            if month > 0:
-                chunk_model = drift.drift_model(model, month)
-        bank.refresh(chunk_model)
-        chunk_rng = np.random.default_rng(int(rng.integers(2**31)))
-        batch = bank.sample_batch(count, chunk_rng)
-        gaps = rng.exponential(1e3 / qps, size=count)
-        # Prepending ``now`` keeps the cumulative sum's float
-        # associativity identical to the scalar ``now += gap`` loop the
-        # object path historically ran, so streams replay bit-for-bit.
-        arrivals = np.cumsum(np.concatenate(([now], gaps)))[1:]
-        now = float(arrivals[-1])
-        deadlines = priorities = None
-        if with_qos:
-            deadlines = (
-                arrivals + deadline_ms
-                if deadline_ms is not None
-                else np.full(count, np.inf)
-            )
-            priorities = (
-                qos_rng.choice(shares.size, size=count, p=shares).astype(
-                    np.int64
-                )
-                if shares is not None
-                else np.zeros(count, dtype=np.int64)
-            )
-        yield RequestArena(
-            batch,
-            arrivals,
-            base_id=emitted,
-            deadline_ms=deadlines,
-            priority=priorities,
-        )
-        emitted += count
 
 
 def synthetic_request_stream(

@@ -251,6 +251,23 @@ class TestCommands:
         assert main(argv) == 0
         assert "QPS" in capsys.readouterr().out
 
+    def test_serve_burst_with_drift(self, capsys, tmp_path):
+        # Regression: bursty streams used to carry no drift, so the
+        # combination was refused; it must now drift and replan.
+        import json
+
+        path = tmp_path / "metrics.json"
+        argv = [
+            "serve", "--model", "rm2", "--milp-time", "0",
+            "--qps", "20000", "--requests", "1500", "--batch-requests", "64",
+            "--burst", "--drift-months", "20", "--drift-threshold", "2",
+            "--drift-min-samples", "128", "--report-json", str(path),
+        ] + self.COMMON
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "bursty" in out and "drift replans:" in out
+        assert json.loads(path.read_text())["replans"] >= 1
+
     def test_serve_with_chaos_drill(self, capsys):
         argv = [
             "serve", "--model", "rm2", "--milp-time", "0",
@@ -335,6 +352,10 @@ class TestServeValidation:
             ["--workers", "2", "--queue-depth", "0"], capsys
         )
         assert code == 2 and "--queue-depth" in err
+
+    def test_rejects_drift_with_workers(self, capsys):
+        code, err = self.run(["--workers", "2", "--drift-months", "5"], capsys)
+        assert code == 2 and "drift replanning is single-process only" in err
 
     def test_rejects_negative_workers(self, capsys):
         code, err = self.run(["--workers", "-1"], capsys)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data.drift import DriftModel
 from repro.data.model import rm2
 from repro.memory import paper_scales
 from repro.serving import (
@@ -59,6 +60,37 @@ def test_poisson_matches_inline_generator_bit_for_bit():
         for fa, fb in zip(a.batch, b.batch):
             np.testing.assert_array_equal(fa.values, fb.values)
             np.testing.assert_array_equal(fa.offsets, fb.offsets)
+
+
+def test_drift_moves_bursty_content_not_arrivals():
+    """Drift rides any arrival process: a drifted bursty stream keeps
+    the undrifted stream's arrivals and QoS columns and changes only
+    lookup content."""
+    m = model()
+    process = BurstyArrivals(
+        burst_qps=20000.0, idle_qps=200.0, burst_ms=40.0, idle_ms=60.0
+    )
+
+    def stream(drift):
+        return collect(
+            generate_request_arenas(
+                m, 1500, process, seed=9, chunk_size=64,
+                deadline_ms=5.0, priority_shares=(0.3, 0.7),
+                drift=drift, months_per_request=24.0 / 1500,
+            )
+        )
+
+    plain_arenas, plain, plain_vals = stream(None)
+    drift = DriftModel(feature_noise=4.0, alpha_noise=4.0)
+    drift_arenas, drifted, drift_vals = stream(drift)
+    np.testing.assert_array_equal(plain, drifted)
+    for a, b in zip(plain_arenas, drift_arenas):
+        np.testing.assert_array_equal(a.deadline_ms, b.deadline_ms)
+        np.testing.assert_array_equal(a.priority, b.priority)
+    assert any(
+        a.shape != b.shape or not np.array_equal(a, b)
+        for a, b in zip(plain_vals, drift_vals)
+    )
 
 
 def test_streams_are_deterministic_per_seed():

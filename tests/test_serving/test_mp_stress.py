@@ -158,8 +158,9 @@ def test_vanished_segment_reports_gone_not_fatal():
 
 
 def test_keyboard_interrupt_leaves_shm_clean():
-    """Ctrl-C mid-stream (raised from the accounting hot path) must
-    tear the pool down and unlink every in-flight segment."""
+    """Ctrl-C mid-stream (raised from the spine's accounting step, the
+    front end's hot path) must tear the pool down and unlink every
+    in-flight segment."""
     model, profile, topology, plan = small_world()
     arenas = list(synthetic_request_arenas(model, 512, qps=1e9, seed=7))
     before = live_segments()
@@ -167,7 +168,7 @@ def test_keyboard_interrupt_leaves_shm_clean():
         model, profile, topology, plan=plan, config=CONFIG,
         workers=2, result_timeout_s=10.0,
     )
-    real_account = pool._account
+    real_account = pool._spine._account
     calls = {"n": 0}
 
     def interrupting(*args, **kwargs):
@@ -176,7 +177,7 @@ def test_keyboard_interrupt_leaves_shm_clean():
             raise KeyboardInterrupt
         return real_account(*args, **kwargs)
 
-    pool._account = interrupting
+    pool._spine._account = interrupting
     with pytest.raises(KeyboardInterrupt):
         pool.serve_arenas(arenas)
     assert calls["n"] >= 3
