@@ -73,7 +73,7 @@ Quickstart::
     print(metrics.format_report())
 """
 
-from repro.serving.arena import RequestArena, ShmArena, ShmArenaHandle
+from repro.serving.arena import RequestArena, ShmArena, ShmArenaHandle, ShmSlab
 from repro.serving.faults import (
     FaultEvent,
     FaultInjector,
@@ -130,6 +130,7 @@ __all__ = [
     "ServingMetrics",
     "ShmArena",
     "ShmArenaHandle",
+    "ShmSlab",
     "WorkerCrashError",
     "coalesce_requests",
     "device_degrade",

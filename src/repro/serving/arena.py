@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Iterator
 
@@ -183,8 +184,14 @@ class RequestArena:
         invariants, so the jagged structures are built through the
         check-free constructor.
         """
+        return self._sliced(start, stop)[0]
+
+    def _sliced(
+        self, start: int, stop: int
+    ) -> tuple[JaggedBatch, np.ndarray | None]:
+        """:meth:`batch_view` plus its rebased offsets matrix."""
         if not self.batch.features:
-            return JaggedBatch([])
+            return JaggedBatch([]), None
         mat = self.offsets_mat
         rebased = mat[:, start: stop + 1] - mat[:, start: start + 1]
         lo = mat[:, start].tolist()
@@ -193,12 +200,18 @@ class RequestArena:
             JaggedFeature.from_validated(f.values[lo[j]: hi[j]], rebased[j])
             for j, f in enumerate(self.batch)
         ]
-        return JaggedBatch(features)
+        return JaggedBatch(features), rebased
 
     def slice(self, start: int, stop: int) -> "RequestArena":
-        """Sub-arena over requests ``[start, stop)`` (values are views)."""
-        return RequestArena(
-            self.batch_view(start, stop),
+        """Sub-arena over requests ``[start, stop)`` (values are views).
+
+        The rebased offsets matrix the slice was cut with becomes the
+        sub-arena's :attr:`offsets_mat`, so packing a microbatch never
+        re-stacks its offsets.
+        """
+        batch, rebased = self._sliced(start, stop)
+        sub = RequestArena(
+            batch,
             self.arrival_ms[start:stop],
             base_id=self.base_id + start,
             deadline_ms=(
@@ -206,6 +219,8 @@ class RequestArena:
             ),
             priority=self.priority[start:stop] if self.has_qos else None,
         )
+        sub._offsets_mat = rebased
+        return sub
 
     def take(self, keep: np.ndarray) -> "RequestArena":
         """Sub-arena of the requests where boolean mask ``keep`` is set.
@@ -317,15 +332,26 @@ class RequestArena:
     # ------------------------------------------------------------------
     # Shared-memory handoff (multi-process serving)
     # ------------------------------------------------------------------
-    def to_shm(self, name: str | None = None) -> "ShmArena":
-        """Pack this arena into one shared-memory segment.
+    def to_shm(
+        self, name: str | None = None, slab: "ShmSlab | None" = None
+    ) -> "ShmArena | ShmSlab":
+        """Pack this arena into shared memory.
 
-        Returns the owning :class:`ShmArena`; ship its picklable
-        :attr:`ShmArena.handle` across the process boundary and rebuild
-        a zero-copy view with :meth:`from_shm`.  The caller owns the
-        segment's lifetime (:meth:`ShmArena.unlink`).
+        Without ``slab``: a new segment, returned as its owning
+        :class:`ShmArena`; ship the picklable :attr:`ShmArena.handle`
+        across the process boundary and rebuild a zero-copy view with
+        :meth:`from_shm`.  The caller owns the segment's lifetime
+        (:meth:`ShmArena.unlink`).
+
+        With ``slab``: packed in place into that reusable
+        :class:`ShmSlab` (grown first if too small) and returned as the
+        slab, whose :attr:`ShmSlab.handle` now describes this arena.
+        The slab keeps owning its segment.
         """
-        return ShmArena.create(self, name=name)
+        if slab is None:
+            return ShmArena.create(self, name=name)
+        slab.pack(self)
+        return slab
 
     @classmethod
     def from_shm(cls, handle: "ShmArenaHandle") -> "ShmArena":
@@ -347,8 +373,14 @@ class ShmArenaHandle:
     (float64) and ``priority`` (int64) columns, every feature's
     ``offsets`` array (int64, length ``num_requests + 1`` each), and
     finally every feature's ``values`` array (int64).  Everything
-    needed to rebuild the views travels in this handle, so the buffer
-    itself carries no header.
+    needed to rebuild the views travels in this handle.
+
+    A standalone segment (``stamp is None``) carries no header.  An
+    arena packed into a reusable :class:`ShmSlab` is preceded by one
+    8-byte header word holding the slab's pack counter; ``stamp`` is
+    the value written for *this* arena.  A header that no longer equals
+    ``stamp`` means the slab has since been repacked with another
+    arena, so the handle is stale.
     """
 
     name: str
@@ -356,18 +388,72 @@ class ShmArenaHandle:
     base_id: int
     feature_lookups: tuple[int, ...]
     has_qos: bool = False
+    stamp: int | None = None
+
+    @classmethod
+    def of(
+        cls, arena: RequestArena, name: str, stamp: int | None = None
+    ) -> "ShmArenaHandle":
+        """The handle describing ``arena`` packed under ``name``."""
+        return cls(
+            name=name,
+            num_requests=arena.num_requests,
+            base_id=arena.base_id,
+            feature_lookups=tuple(int(f.values.size) for f in arena.batch),
+            has_qos=arena.has_qos,
+            stamp=stamp,
+        )
 
     @property
     def num_features(self) -> int:
         return len(self.feature_lookups)
 
     @property
+    def header_bytes(self) -> int:
+        return 0 if self.stamp is None else 8
+
+    @property
     def total_bytes(self) -> int:
         per_request = 3 if self.has_qos else 1
-        return 8 * (
+        return self.header_bytes + 8 * (
             per_request * self.num_requests
             + self.num_features * (self.num_requests + 1)
             + sum(self.feature_lookups)
+        )
+
+
+def _new_segment_name() -> str:
+    return f"{SHM_NAME_PREFIX}-{os.getpid()}-{next(_SHM_SEQ)}"
+
+
+def _pack(buf, arena: RequestArena, handle: ShmArenaHandle) -> None:
+    """Write ``arena`` into ``buf`` in ``handle``'s layout.
+
+    The one packing routine, for standalone segments and slabs alike:
+    the stamp header first (so a reader of the slab's previous arena
+    sees it change before any byte it read does), then each column in
+    one assignment and all feature values in one concatenation.  Every
+    view into ``buf`` dies on return, so the mapping stays closable.
+    """
+    words = np.frombuffer(buf, dtype=np.int64, count=handle.total_bytes // 8)
+    pos = 0
+    if handle.stamp is not None:
+        words[0] = handle.stamp
+        pos = 1
+    n = handle.num_requests
+    columns = [arena.arrival_ms]
+    if handle.has_qos:
+        columns += [arena.deadline_ms, arena.priority]
+    for column in columns:
+        words[pos: pos + n].view(column.dtype)[:] = column
+        pos += n
+    if handle.num_features:
+        end = pos + handle.num_features * (n + 1)
+        words[pos:end].reshape(handle.num_features, n + 1)[:] = (
+            arena.offsets_mat
+        )
+        np.concatenate(
+            [f.values for f in arena.batch], out=words[end:]
         )
 
 
@@ -400,40 +486,14 @@ class ShmArena:
     @classmethod
     def create(cls, arena: RequestArena, name: str | None = None) -> "ShmArena":
         """Pack ``arena`` into a new segment (owner side)."""
-        handle = ShmArenaHandle(
-            name=(
-                name
-                if name is not None
-                else f"{SHM_NAME_PREFIX}-{os.getpid()}-{next(_SHM_SEQ)}"
-            ),
-            num_requests=arena.num_requests,
-            base_id=arena.base_id,
-            feature_lookups=tuple(
-                int(f.values.size) for f in arena.batch
-            ),
-            has_qos=arena.has_qos,
+        handle = ShmArenaHandle.of(
+            arena, name if name is not None else _new_segment_name()
         )
         # A segment must be at least one byte even for an empty arena.
         shm = shared_memory.SharedMemory(
             name=handle.name, create=True, size=max(handle.total_bytes, 1)
         )
-        raw = np.frombuffer(shm.buf, dtype=np.uint8)
-        n = handle.num_requests
-        pos = 8 * n
-        raw[:pos].view(np.float64)[:] = arena.arrival_ms
-        if handle.has_qos:
-            raw[pos: pos + 8 * n].view(np.float64)[:] = arena.deadline_ms
-            pos += 8 * n
-            raw[pos: pos + 8 * n].view(np.int64)[:] = arena.priority
-            pos += 8 * n
-        for feature in arena.batch:
-            raw[pos: pos + 8 * (n + 1)].view(np.int64)[:] = feature.offsets
-            pos += 8 * (n + 1)
-        for feature in arena.batch:
-            end = pos + 8 * feature.values.size
-            raw[pos:end].view(np.int64)[:] = feature.values
-            pos = end
-        del raw  # release the buffer export so close() stays possible
+        _pack(shm.buf, arena, handle)
         return cls(shm, handle, owner=True)
 
     @classmethod
@@ -458,9 +518,34 @@ class ShmArena:
             resource_tracker.register = real_register
         return cls(shm, handle, owner=False)
 
+    def rebind(self, handle: ShmArenaHandle) -> "ShmArena":
+        """This mapping viewed as another arena packed into the same slab.
+
+        The returned view shares the mapping: drop it (and its arena
+        views) instead of closing it; the mapping closes with ``self``.
+        """
+        if handle.name != self.handle.name:
+            raise ValueError(
+                f"handle names segment {handle.name!r}, mapping is "
+                f"{self.handle.name!r}"
+            )
+        return ShmArena(self._shm, handle, owner=False)
+
     @property
     def name(self) -> str:
         return self.handle.name
+
+    @property
+    def stale(self) -> bool:
+        """Whether the slab under this view was repacked since its handle.
+
+        Always False for a standalone (header-less) segment.
+        """
+        stamp = self.handle.stamp
+        return (
+            stamp is not None
+            and struct.unpack_from("q", self._shm.buf)[0] != stamp
+        )
 
     @property
     def arena(self) -> RequestArena:
@@ -473,28 +558,28 @@ class ShmArena:
         if self._arena is None:
             handle = self.handle
             n = handle.num_requests
-            raw = np.frombuffer(self._shm.buf, dtype=np.uint8)
-            arrival = raw[: 8 * n].view(np.float64)
-            pos = 8 * n
+            words = np.frombuffer(
+                self._shm.buf, dtype=np.int64,
+                count=handle.total_bytes // 8,
+            )
+            pos = handle.header_bytes // 8
+            arrival = words[pos: pos + n].view(np.float64)
+            pos += n
             deadline = priority = None
             if handle.has_qos:
-                deadline = raw[pos: pos + 8 * n].view(np.float64)
-                pos += 8 * n
-                priority = raw[pos: pos + 8 * n].view(np.int64)
-                pos += 8 * n
-            offsets = []
-            for _ in range(handle.num_features):
-                offsets.append(raw[pos: pos + 8 * (n + 1)].view(np.int64))
-                pos += 8 * (n + 1)
+                deadline = words[pos: pos + n].view(np.float64)
+                priority = words[pos + n: pos + 2 * n]
+                pos += 2 * n
+            end = pos + handle.num_features * (n + 1)
+            offsets = words[pos:end].reshape(handle.num_features, n + 1)
             features = []
             for j, lookups in enumerate(handle.feature_lookups):
-                end = pos + 8 * lookups
                 features.append(
                     JaggedFeature.from_validated(
-                        raw[pos:end].view(np.int64), offsets[j]
+                        words[end: end + lookups], offsets[j]
                     )
                 )
-                pos = end
+                end += lookups
             self._arena = RequestArena(
                 JaggedBatch(features),
                 arrival,
@@ -502,6 +587,7 @@ class ShmArena:
                 deadline_ms=deadline,
                 priority=priority,
             )
+            self._arena._offsets_mat = offsets
         return self._arena
 
     def close(self) -> None:
@@ -527,5 +613,68 @@ class ShmArena:
         """
         try:
             self._shm.unlink()
+        except FileNotFoundError:
+            pass
+
+
+class ShmSlab:
+    """A reusable shared-memory segment that arenas are packed into.
+
+    The multi-process front end keeps a small ring of these for the
+    pool's lifetime instead of creating, page-faulting and unlinking a
+    segment per microbatch.  :meth:`pack` (reached through
+    :meth:`RequestArena.to_shm`) bumps the slab's stamp, writes it to
+    the segment's 8-byte header and packs the arena behind it;
+    :attr:`handle` describes the arena packed last.  The segment is
+    created by the first pack.  One too small for an arena is unlinked
+    and replaced by a larger one under a new name, with
+    :attr:`HEADROOM` to spare so slightly larger later batches fit.
+    :meth:`destroy` unlinks the segment for good.
+    """
+
+    #: spare capacity on (re)allocation, as a fraction of the need.
+    HEADROOM = 0.125
+
+    __slots__ = ("handle", "_shm", "_stamp")
+
+    def __init__(self):
+        self.handle: ShmArenaHandle | None = None
+        self._shm: shared_memory.SharedMemory | None = None
+        self._stamp = 0
+
+    @property
+    def name(self) -> str | None:
+        return None if self._shm is None else self._shm.name
+
+    @property
+    def capacity(self) -> int:
+        """Bytes the current segment holds (0 before the first pack)."""
+        return 0 if self._shm is None else self._shm.size
+
+    def pack(self, arena: RequestArena) -> ShmArenaHandle:
+        """Pack ``arena`` in place under a new stamp; returns its handle."""
+        self._stamp += 1
+        handle = ShmArenaHandle.of(arena, "", stamp=self._stamp)
+        need = handle.total_bytes
+        if need > self.capacity:
+            self.destroy()
+            self._shm = shared_memory.SharedMemory(
+                name=_new_segment_name(), create=True,
+                size=need + int(need * self.HEADROOM),
+            )
+        handle = replace(handle, name=self._shm.name)
+        _pack(self._shm.buf, arena, handle)
+        self.handle = handle
+        return handle
+
+    def destroy(self) -> None:
+        """Unmap and unlink the segment (idempotent)."""
+        if self._shm is None:
+            return
+        shm, self._shm = self._shm, None
+        self.handle = None
+        shm.close()
+        try:
+            shm.unlink()
         except FileNotFoundError:
             pass

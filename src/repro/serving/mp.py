@@ -8,17 +8,20 @@ pool of executor workers):
 
 * the **front-end** (one process) runs the shared admission pass
   (:func:`~repro.serving.queue.iter_microbatch_arenas`), packs each
-  released microbatch into a shared-memory segment
-  (:meth:`~repro.serving.arena.RequestArena.to_shm`), and dispatches
+  released microbatch in place into a free slab of a pool-lifetime
+  shared-memory ring (:class:`~repro.serving.arena.ShmSlab`, through
+  :meth:`~repro.serving.arena.RequestArena.to_shm`), and dispatches
   ``(seq, handle)`` tasks round-robin over bounded *per-worker* task
   queues (single producer, single consumer each — a worker that dies
   holding its queue's reader lock poisons only its own queue, which
   the self-healing supervisor discards and replaces at respawn;
   a shared MPMC queue would deadlock the whole pool);
-* each **worker** process attaches the segment zero-copy, runs the
-  executor's stateless *classification* lanes (tier binning, cache and
-  staging fast lanes, replica-cut membership) on the batch, and ships
-  the small per-table count matrices back on a results queue;
+* each **worker** process views the slab zero-copy (it keeps slab
+  mappings attached across batches), runs the executor's stateless
+  *classification* lanes (tier binning, cache and staging fast lanes,
+  replica-cut membership) on the batch, and ships the small per-table
+  count matrices back on a results queue; the slab returns to the ring
+  when the front-end pulls that result;
 * the front-end **aggregator** replays the stateful *reduction* — count
   pooling, least-loaded replica routing, the single simulated engine
   clock — strictly in release (``seq``) order, through the in-process
@@ -29,6 +32,15 @@ pool of executor workers):
   spine reduces counts the workers classified
   (:meth:`~repro.engine.executor.ShardedExecutor.reduce_classified`)
   instead of running the whole batch in process.
+
+The ring holds at most ``queue_depth + workers`` slabs, created on
+demand; a slab too small for a batch is replaced by a larger one.  So
+creating, page-faulting and unlinking a segment leave the per-batch
+path, and packing is two bulk copies into memory that is already
+mapped on both sides.  Every pack stamps the slab's header, and a
+worker checks the stamp its task carries before and after classifying:
+a stale duplicate of a crash-requeued batch whose slab was recycled in
+between replies ``gone`` instead of classifying another batch's bytes.
 
 That classification/reduction split is what makes worker count a pure
 throughput knob: replica routing and the busy-clock are sequential
@@ -47,8 +59,9 @@ Two serving modes:
   of this mode is what ``bench_serving_mp`` gates on.
 * :meth:`MultiProcessServer.serve_paced` — open-loop mode: each
   microbatch is offered at the wall-clock time its simulated release
-  dictates; when the task queue is full the batch is **shed** (rejected
-  newest-first, at batch granularity) instead of queued, so overload
+  dictates; when the task queue is full (or no slab is free) the batch
+  is **shed** (rejected newest-first, at batch granularity) instead of
+  queued, so overload
   keeps the queue bounded by construction and
   ``offered == served + shed`` exactly.
 
@@ -66,13 +79,20 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from typing import Iterable, Iterator
+from collections import OrderedDict
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from repro.engine.executor import ShardedExecutor
 from repro.engine.ranked import RankRemapper
-from repro.serving.arena import RequestArena, ShmArena
+from repro.serving.arena import (
+    RequestArena,
+    ShmArena,
+    ShmArenaHandle,
+    ShmSlab,
+)
 from repro.serving.faults import FaultInjector, FaultSchedule
 from repro.serving.metrics import ServingMetrics
 from repro.serving.queue import iter_microbatch_arenas
@@ -92,24 +112,70 @@ class WorkerCrashError(RuntimeError):
     """
 
 
-def _worker_main(worker_id, spec, task_queue, result_queue):
+class _SlabMappings:
+    """A worker's slab mappings, kept attached across batches (LRU).
+
+    Bounded by the ring size, so a slab the front-end replaced (or a
+    pool that outlived many slabs) costs at most one stale mapping per
+    ring slot; an evicted mapping is closed when no view into it is
+    alive.
+    """
+
+    def __init__(self, limit: int):
+        self._limit = max(1, int(limit))
+        self._mapped: OrderedDict[str, ShmArena] = OrderedDict()
+
+    def view(self, handle: ShmArenaHandle) -> ShmArena:
+        """``handle``'s arena over its slab's (cached) mapping."""
+        mapped = self._mapped.pop(handle.name, None)
+        if mapped is None:
+            mapped = ShmArena.attach(handle)
+            while len(self._mapped) >= self._limit:
+                self._mapped.popitem(last=False)[1].close()
+        self._mapped[handle.name] = mapped
+        return mapped.rebind(handle)
+
+    def close(self) -> None:
+        for mapped in self._mapped.values():
+            mapped.close()
+        self._mapped.clear()
+
+
+def _classify(executor, mappings: _SlabMappings, handle: ShmArenaHandle):
+    """Classify the batch ``handle`` names; ``None`` if its bytes are gone.
+
+    A slab repacked since the handle was issued (stamp mismatch,
+    checked before and after the classify pass) no longer holds this
+    batch.  Every view into the segment dies on return.
+    """
+    view = mappings.view(handle)
+    if view.stale:
+        return None
+    classified = executor.classify_batch(view.arena.batch)
+    return None if view.stale else classified
+
+
+def _worker_main(worker_id, spec, task_queue, result_queue, max_mappings):
     """Worker process body: classify microbatches until told to stop.
 
     Builds its own :class:`~repro.engine.executor.ShardedExecutor` from
     the picklable ``spec`` (spawn-safe; under fork this is cheap and
-    keeps the code path identical), then loops: attach the task's
-    shared-memory arena, run the stateless classification lanes, close
-    the mapping, ship the count matrices back.  A ``None`` task is the
-    shutdown sentinel; a negative seq is the scripted-crash sentinel
-    (``worker_kill`` drills — hard ``os._exit(1)``, no cleanup).
-    Per-task exceptions are reported as ``err`` results rather than
-    killing the worker; only queue-level failures end the loop.
+    keeps the code path identical), then loops: view the task's
+    shared-memory arena, run the stateless classification lanes, ship
+    the count matrices back.  Slab mappings stay attached across tasks
+    (at most ``max_mappings``) and are closed on a clean stop.  A
+    ``None`` task is the shutdown sentinel; a negative seq is the
+    scripted-crash sentinel (``worker_kill`` drills — hard
+    ``os._exit(1)``, no cleanup).  Per-task exceptions are reported as
+    ``err`` results rather than killing the worker; only queue-level
+    failures end the loop.
 
-    A vanished segment (``FileNotFoundError`` on attach) is reported as
-    a ``gone`` result instead of an error: after a crash-triggered
-    requeue the same seq can sit in the task queue twice, and whichever
-    copy loses the race attaches a segment the front-end has already
-    retired.  The front-end drops ``gone`` results for satisfied seqs.
+    A batch whose bytes are gone is reported as a ``gone`` result
+    instead of an error: after a crash-triggered requeue the same seq
+    can sit in the task queue twice, and whichever copy loses the race
+    finds its segment unlinked (``FileNotFoundError`` on attach) or its
+    slab repacked with a later batch (stamp mismatch).  The front-end
+    drops ``gone`` results for satisfied seqs.
     """
     model, plan, profile, topology, cache, staging, vectorized = spec
     executor = ShardedExecutor(
@@ -117,34 +183,81 @@ def _worker_main(worker_id, spec, task_queue, result_queue):
         cache=cache, staging=staging,
         vectorized=vectorized, ranker=RankRemapper(profile),
     )
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        seq, handle = task
-        if seq < 0:
-            # Scripted worker_kill: die hard (no cleanup, exit code 1)
-            # at a point where no queue lock is held — get() released
-            # the reader lock before returning.  SIGKILL-ing a worker
-            # blocked *inside* get() would leave the lock held forever.
-            os._exit(1)
-        try:
-            shm = ShmArena.attach(handle)
+    mappings = _SlabMappings(max_mappings)
+    try:
+        while True:
+            task = task_queue.get()
+            if task is None:
+                break
+            seq, handle = task
+            if seq < 0:
+                # Scripted worker_kill: die hard (no cleanup, exit code
+                # 1) at a point where no queue lock is held — get()
+                # released the reader lock before returning.  SIGKILL-ing
+                # a worker blocked *inside* get() would leave the lock
+                # held forever.
+                os._exit(1)
             try:
-                counts, hits, replicas, cuts = executor.classify_batch(
-                    shm.arena.batch
+                classified = _classify(executor, mappings, handle)
+            except FileNotFoundError:
+                classified = None
+            except Exception as exc:  # surfaced, never swallowed into a hang
+                result_queue.put(
+                    ("err", seq, worker_id, f"{type(exc).__name__}: {exc}")
                 )
-            finally:
-                shm.close()
-            result_queue.put(
-                ("ok", seq, worker_id, counts, hits, replicas, cuts)
-            )
-        except FileNotFoundError:
-            result_queue.put(("gone", seq, worker_id))
-        except Exception as exc:  # surfaced, never swallowed into a hang
-            result_queue.put(
-                ("err", seq, worker_id, f"{type(exc).__name__}: {exc}")
-            )
+                continue
+            if classified is None:
+                result_queue.put(("gone", seq, worker_id))
+            else:
+                result_queue.put(("ok", seq, worker_id, *classified))
+    finally:
+        mappings.close()
+
+
+class _InFlight(NamedTuple):
+    """One dispatched batch: its slab and its accounting inputs."""
+
+    slab: ShmSlab
+    arrivals: np.ndarray
+    trigger: float
+    deadlines: np.ndarray | None
+    priorities: np.ndarray | None
+
+
+class _SlabRing:
+    """The front-end's pool-lifetime slabs; at most ``capacity`` exist.
+
+    Slabs are made on demand (each one's segment by its first pack) and
+    recycled last-in first-out, so a pool that keeps up touches the
+    same few pages over and over.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self.slabs: list[ShmSlab] = []
+        self._free: list[ShmSlab] = []
+
+    def can_acquire(self) -> bool:
+        return bool(self._free) or len(self.slabs) < self.capacity
+
+    def acquire(self) -> ShmSlab | None:
+        """A free slab, or ``None`` when every slab is in flight."""
+        if self._free:
+            return self._free.pop()
+        if len(self.slabs) < self.capacity:
+            self.slabs.append(ShmSlab())
+            return self.slabs[-1]
+        return None
+
+    def release(self, slab: ShmSlab) -> None:
+        self._free.append(slab)
+
+    def close(self) -> None:
+        """Unlink every slab's segment."""
+        for slab in self.slabs:
+            slab.destroy()
+        self.slabs.clear()
+        self._free.clear()
 
 
 class MultiProcessServer:
@@ -170,7 +283,8 @@ class MultiProcessServer:
         queue_depth: aggregate task-queue bound (default
             ``2 * workers``), split evenly across the per-worker
             queues — the backpressure knob; also what overload
-            shedding pushes against in paced mode.
+            shedding pushes against in paced mode.  The shared-memory
+            slab ring holds at most ``queue_depth + workers`` slabs.
         start_method: multiprocessing start method (``"fork"``,
             ``"spawn"``, ...); ``None`` uses the platform default.
         result_timeout_s: longest the front-end will wait on the
@@ -292,6 +406,9 @@ class MultiProcessServer:
         # Per-worker task-queue bound: the aggregate queue_depth is
         # split across the pool's single-consumer queues.
         self._per_worker_depth = max(1, self.queue_depth // self.workers)
+        # Enough slabs for a full queue plus one batch per worker; the
+        # ring (and its segments) lives until close().
+        self._ring = _SlabRing(self.queue_depth + self.workers)
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -318,7 +435,8 @@ class MultiProcessServer:
         Resets the aggregator spine (metrics, simulated clock, replica
         routing history, device fault state) without restarting workers
         — their classify pass is stateless, so only the front-end
-        carries stream state.  As in the single-process server, the
+        carries stream state; the slab ring is kept too.  As in the
+        single-process server, the
         chaos script is disarmed unless ``rearm_chaos=True``; the
         supervisor's respawn budget and count are pool-lifetime and
         not reset.
@@ -350,7 +468,10 @@ class MultiProcessServer:
         self._procs = [
             self._ctx.Process(
                 target=_worker_main,
-                args=(i, self._spec, self._task_qs[i], self._result_q),
+                args=(
+                    i, self._spec, self._task_qs[i], self._result_q,
+                    self._ring.capacity,
+                ),
                 daemon=True,
                 name=f"recshard-worker-{i}",
             )
@@ -365,7 +486,8 @@ class MultiProcessServer:
 
         Live workers get one ``None`` sentinel each and a join window;
         stragglers (and already-crashed workers) are terminated.  Queues
-        are drained and closed so their feeder threads exit.
+        are drained and closed so their feeder threads exit, and every
+        slab of the ring is unlinked.
         """
         if not self.started:
             return
@@ -407,6 +529,7 @@ class MultiProcessServer:
             pass
         self._result_q.close()
         self._result_q.join_thread()
+        self._ring.close()
         self._procs = []
         self._task_qs = []
         self._result_q = None
@@ -481,19 +604,19 @@ class MultiProcessServer:
     ) -> ServingMetrics:
         """Dispatch released microbatches, merge results in seq order.
 
-        ``pending`` holds each in-flight batch's owner-side segment plus
-        the accounting inputs (arrivals, trigger); ``results`` holds
+        ``pending`` holds each in-flight batch's slab and accounting
+        inputs (arrivals, trigger); ``results`` holds
         classified counts that arrived out of order.  The aggregation
         cursor advances over consecutive sequence numbers only, so
         reductions replay in release order no matter which worker
-        finishes first.  All exits — normal, worker crash, worker error
-        — unlink every in-flight segment before returning or raising
-        (the no-orphaned-``/dev/shm`` invariant the leak tests scan
-        for).
+        finishes first.  A slab stays pinned from its pack until its
+        batch's result is pulled (through any crash requeue).  All
+        exits — normal, worker crash, worker error — leave no segment
+        orphaned: the normal path returns every slab to the ring, the
+        abort path closes the pool, which unlinks the ring (the
+        no-orphaned-``/dev/shm`` invariant the leak tests scan for).
         """
-        pending: dict[
-            int, tuple[ShmArena, np.ndarray, float, object, object]
-        ] = {}
+        pending: dict[int, _InFlight] = {}
         results: dict[int, tuple] = {}
         cursor = 0  # next seq to account
         seq = 0
@@ -515,9 +638,11 @@ class MultiProcessServer:
                         now = time.perf_counter()
                         if now >= due:
                             break
-                        cursor = self._drain(pending, results, cursor)
+                        cursor = self._drain(
+                            pending, results, cursor,
+                            block_s=min(self._POLL_S, due - now),
+                        )
                         self._check_workers(pending, results)
-                        time.sleep(min(self._POLL_S, due - now))
                 if ctrl is not None and ctrl.control.admission_for(
                     arena.has_qos
                 ):
@@ -531,37 +656,34 @@ class MultiProcessServer:
                     arena = self._spine.admit_arena(arena, trigger)
                     if arena is None:
                         continue
-                arrivals = np.array(arena.arrival_ms)
-                # Register the owner segment in pending *immediately*:
-                # from here every exit path (shed, crash, interrupt)
-                # finds and retires it — no orphan window between
-                # creating the segment and dispatching the task.
-                owner = arena.to_shm()
-                pending[seq] = (
-                    owner, arrivals, trigger,
-                    arena.deadline_ms, arena.priority,
-                )
-                task = (seq, owner.handle)
-                if paced:
-                    if not self._try_dispatch(seq, task):
-                        # Overload: every worker queue is full — reject
-                        # the newest batch outright.  Its seq is reused
-                        # by the next dispatched batch (shed batches
-                        # never enter the in-order accounting stream).
-                        del pending[seq]
-                        owner.close()
-                        owner.unlink()
-                        self.metrics.record_shed(
-                            arena.num_requests,
-                            cause="overflow",
-                            priorities=arena.priority,
+                slab, cursor = self._free_slab(pending, results, cursor, paced)
+                if slab is not None:
+                    handle = arena.to_shm(slab=slab).handle
+                    pending[seq] = _InFlight(
+                        slab, np.array(arena.arrival_ms), trigger,
+                        arena.deadline_ms, arena.priority,
+                    )
+                    dispatch = partial(self._try_dispatch, seq, (seq, handle))
+                    if not paced:
+                        cursor = self._wait_until(
+                            dispatch, pending, results, cursor
                         )
-                        continue
-                else:
-                    while not self._try_dispatch(seq, task):
-                        cursor = self._drain(pending, results, cursor)
-                        self._check_workers(pending, results)
-                        time.sleep(self._POLL_S)
+                    elif not dispatch():
+                        del pending[seq]
+                        self._ring.release(slab)
+                        slab = None
+                if slab is None:
+                    # Paced overload: no free slab, or every worker
+                    # queue full — reject the newest batch outright.
+                    # Its seq is reused by the next dispatched batch
+                    # (shed batches never enter the in-order accounting
+                    # stream).
+                    self.metrics.record_shed(
+                        arena.num_requests,
+                        cause="overflow",
+                        priorities=arena.priority,
+                    )
+                    continue
                 seq += 1
                 cursor = self._drain(pending, results, cursor)
             # Stream exhausted: deliver any worker faults scheduled
@@ -574,28 +696,60 @@ class MultiProcessServer:
             raise
         return self.metrics
 
-    def _drain_all(self, pending: dict, results: dict, cursor: int) -> int:
-        """Block until every in-flight batch is accounted.
+    def _free_slab(
+        self, pending: dict, results: dict, cursor: int, paced: bool
+    ) -> tuple[ShmSlab | None, int]:
+        """A slab to pack the next batch into, and the advanced cursor.
 
-        Used at stream end and as the lockstep barrier before an
-        overload-admission decision.  Raises
-        :class:`WorkerCrashError` when the pool stops producing
-        results with work outstanding.
+        Closed-loop mode waits on the workers until a slab frees up;
+        paced mode makes one non-blocking pull and returns ``None`` if
+        every slab is still in flight (the caller sheds the batch).
         """
-        waited = 0.0
-        while pending or results:
-            advanced = self._drain(
+        if not self._ring.can_acquire():
+            if paced:
+                cursor = self._drain(pending, results, cursor)
+            else:
+                cursor = self._wait_until(
+                    self._ring.can_acquire, pending, results, cursor
+                )
+        return self._ring.acquire(), cursor
+
+    def _wait_until(
+        self, ready, pending: dict, results: dict, cursor: int
+    ) -> int:
+        """Pull and account results until ``ready()``; returns the cursor.
+
+        Waits by blocking on the results queue (a result is what frees
+        a slab or a queue slot), never by sleeping, and heals the pool
+        between pulls.  Raises :class:`WorkerCrashError` when no result
+        arrives for ``result_timeout_s`` with work outstanding.
+        """
+        last = time.perf_counter()
+        while not ready():
+            before = (cursor, len(results))
+            cursor = self._drain(
                 pending, results, cursor, block_s=self._POLL_S
             )
-            waited = 0.0 if advanced != cursor else waited + self._POLL_S
-            cursor = advanced
             self._check_workers(pending, results)
-            if waited >= self.result_timeout_s:
+            now = time.perf_counter()
+            if (cursor, len(results)) != before:
+                last = now
+            elif now - last >= self.result_timeout_s:
                 raise WorkerCrashError(
                     f"no results for {self.result_timeout_s:.1f} s with "
                     f"{len(pending)} batches outstanding"
                 )
         return cursor
+
+    def _drain_all(self, pending: dict, results: dict, cursor: int) -> int:
+        """Block until every in-flight batch is accounted.
+
+        Used at stream end and as the lockstep barrier before an
+        overload-admission decision.
+        """
+        return self._wait_until(
+            lambda: not pending, pending, results, cursor
+        )
 
     def _try_dispatch(self, seq: int, task) -> bool:
         """Offer a task to one alive worker, round-robin from ``seq``.
@@ -623,7 +777,7 @@ class MultiProcessServer:
         cursor: int,
         block_s: float = 0.0,
     ) -> int:
-        """Pull available results, release their segments, account in order.
+        """Pull available results, release their slabs, account in order.
 
         Returns the advanced sequence cursor.  A worker-reported ``err``
         result aborts the run (after segment cleanup, via the caller's
@@ -633,16 +787,16 @@ class MultiProcessServer:
         spine = self._spine
         while cursor in results:
             counts, hits, replicas, cuts = results.pop(cursor)
-            _, arrivals, trigger, deadlines, priorities = pending.pop(cursor)
+            batch = pending.pop(cursor)
             spine._account(
                 lambda: spine.executor.reduce_classified(
                     counts, hits, replicas, cuts
                 ),
                 int(counts.sum()),
-                trigger,
-                arrivals,
-                deadlines,
-                priorities,
+                batch.trigger,
+                batch.arrivals,
+                batch.deadlines,
+                batch.priorities,
             )
             cursor += 1
         return cursor
@@ -650,12 +804,12 @@ class MultiProcessServer:
     def _pull_results(
         self, pending: dict, results: dict, block_s: float = 0.0
     ) -> None:
-        """Collect ready results and retire their segments (no accounting).
+        """Collect ready results and recycle their slabs (no accounting).
 
         Tolerates the duplicates a crash-triggered requeue can create:
         an ``ok``/``err`` for a seq that is no longer owed (already in
         ``results`` or already accounted out of ``pending``) is stale —
-        its segment was retired when the first copy landed — and a
+        its slab was recycled when the first copy landed — and a
         ``gone`` result is a worker reporting exactly that staleness
         from its side.  Only an ``err`` for a seq still owed aborts.
         """
@@ -681,10 +835,8 @@ class MultiProcessServer:
             _, got_seq, _, counts, hits, replicas, cuts = item
             if got_seq not in pending or got_seq in results:
                 continue
-            # The worker is done with the segment; the owner retires it.
-            owner = pending[got_seq][0]
-            owner.close()
-            owner.unlink()
+            # The worker is done with the slab: back to the ring.
+            self._ring.release(pending[got_seq].slab)
             results[got_seq] = (counts, hits, replicas, cuts)
 
     def _fire_worker_faults(
@@ -732,8 +884,8 @@ class MultiProcessServer:
         still owed is then requeued, because the front-end cannot know
         which seqs died with the worker.  Duplicates this creates are
         absorbed by :meth:`_pull_results`.  Budget exhausted →
-        :class:`WorkerCrashError` (the caller's abort path unlinks all
-        in-flight segments).
+        :class:`WorkerCrashError` (the caller's abort path unlinks the
+        slab ring).
         """
         dead = [
             (index, proc)
@@ -768,7 +920,8 @@ class MultiProcessServer:
             replacement = self._ctx.Process(
                 target=_worker_main,
                 args=(
-                    index, self._spec, self._task_qs[index], self._result_q
+                    index, self._spec, self._task_qs[index], self._result_q,
+                    self._ring.capacity,
                 ),
                 daemon=True,
                 name=f"recshard-worker-{index}",
@@ -785,29 +938,28 @@ class MultiProcessServer:
     def _requeue(self, pending: dict, results: dict) -> None:
         """Re-dispatch every batch still owed after a worker crash.
 
-        The shm segments of owed batches are still owner-held (they are
-        only unlinked when a result lands), so re-sending the handle is
-        safe; a worker that picks up a stale duplicate later reports
+        The slabs of owed batches are still pinned (a slab returns to
+        the ring only when its batch's result lands), so each slab's
+        handle still describes its batch and re-sending it is safe; a
+        worker that picks up a stale duplicate later reports
         ``gone``/duplicate and is ignored.
         """
         for seq in sorted(s for s in pending if s not in results):
-            task = (seq, pending[seq][0].handle)
+            task = (seq, pending[seq].slab.handle)
             while not self._try_dispatch(seq, task):
-                self._pull_results(pending, results)
-                if seq in results:
-                    break  # landed after all — nothing to requeue
                 if not any(p.is_alive() for p in self._procs):
                     # Nobody draining any queue; the next
                     # _check_workers pass deals with the new corpse.
                     return
-                time.sleep(self._POLL_S)
+                self._pull_results(pending, results, block_s=self._POLL_S)
+                if seq in results:
+                    break  # landed after all — nothing to requeue
 
     def _abort(self, pending: dict) -> None:
-        """Error-path cleanup: no orphaned segments, no wedged pool."""
-        for entry in pending.values():
-            owner = entry[0]
-            owner.close()
-            owner.unlink()
+        """Error-path cleanup: no orphaned segments, no wedged pool.
+
+        Closing the pool unlinks every slab, pinned ones included.
+        """
         pending.clear()
         for proc in self._procs:
             if proc.is_alive():

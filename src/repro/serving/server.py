@@ -425,33 +425,41 @@ class LookupServer:
             # decision, not a property of any one plan.
             self.executor._brownout = prior._brownout
             self.executor.browned_by_table[:] = prior.browned_by_table
-        # Drift tracking only exists where a replan is possible: a
-        # fixed-plan server skips the per-batch profiling entirely.
+        self._num_installs += 1
+        self._new_drift_tracking()
+
+    def _new_drift_tracking(self) -> None:
+        """Fresh drift monitor and profiler for the installed plan.
+
+        Drift tracking only exists where a replan is possible: a
+        fixed-plan server skips the per-batch profiling entirely.  The
+        profiler's sampling seed is the install's index, so consecutive
+        observed profiles draw independent Bernoulli sequences while a
+        rebuild for the same install replays the same one.
+        """
         self.monitor = None
         self._profiler = None
         if self.sharder is not None:
             self.monitor = DriftMonitor(
-                profile,
+                self.profile,
                 threshold_pct=self.config.drift_threshold_pct,
                 min_samples=self.config.drift_min_samples,
             )
-            # Distinct sampling seed per install so consecutive observed
-            # profiles draw independent Bernoulli sequences.
             self._profiler = TraceProfiler(
                 self.model,
                 sample_rate=self.config.profile_sample_rate,
-                seed=self._num_installs,
+                seed=self._num_installs - 1,
             )
-        self._num_installs += 1
 
     def reset_serving_state(self, rearm_chaos: bool = False) -> None:
         """Start an independent run on the same installed plan.
 
-        Fresh metrics, admission queue, simulated clock, and replica
-        routing history — everything a *stream* accumulates, nothing a
-        *plan* owns.  Lets one server (or one multi-process pool, which
-        delegates here) serve several streams back to back with
-        per-stream metrics, e.g. repeated benchmark rounds.
+        Fresh metrics, admission queue, simulated clock, replica routing
+        history, drift monitor and profiler — everything a *stream*
+        accumulates, nothing a *plan* owns.  Lets one server (or one
+        multi-process pool, which delegates here) serve several streams
+        back to back with per-stream metrics, e.g. repeated benchmark
+        rounds.
 
         After a failure drill (or any replan) the *initial* plan is
         reinstalled with the install counter rewound, so profiler
@@ -470,6 +478,10 @@ class LookupServer:
         if self._num_installs > 1:
             self._num_installs = 0
             self._install(*self._initial_install)
+        else:
+            # Same plan, but the last stream's drift observations must
+            # not leak into the next one.
+            self._new_drift_tracking()
         self.executor.clear_faults()
         self.executor.reset_routing()
         self.executor.reset_brownout()

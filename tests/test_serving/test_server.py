@@ -5,13 +5,16 @@ import pytest
 
 from repro.core import RecShardFastSharder
 from repro.data.drift import DriftModel
+from repro.data.model import rm2
 from repro.data.synthetic import TraceGenerator
+from repro.memory import paper_node, paper_scales
 from repro.memory.topology import SystemTopology
 from repro.serving import (
     DriftMonitor,
     LookupServer,
     ServingConfig,
     ServingMetrics,
+    synthetic_request_arenas,
     synthetic_request_stream,
 )
 from repro.stats import analytic_profile
@@ -175,6 +178,47 @@ class TestLookupServer:
                 model, profile, topology, plan=plan,
                 sharder=RecShardFastSharder(batch_size=BATCH),
             )
+
+
+class TestResetServingState:
+    def test_reset_without_replan_forgets_drift_observations(self):
+        """A stream that ends before its first replan must not leave
+        monitor or profiler observations behind: after a reset the
+        server replays a fresh server's stream bit for bit."""
+        topo_scale, row_scale = paper_scales(60, 4)
+        model = rm2(num_features=60, row_scale=row_scale)
+        profile = analytic_profile(model)
+        topology = paper_node(num_gpus=4, scale=topo_scale)
+        config = ServingConfig(
+            max_batch_size=64, max_delay_ms=1.0,
+            drift_threshold_pct=5.0, drift_min_samples=256,
+        )
+        drift = DriftModel(feature_noise=6.0, alpha_noise=4.0)
+
+        def server():
+            return LookupServer(
+                model, profile, topology,
+                sharder=RecShardFastSharder(batch_size=256), config=config,
+            )
+
+        def stream(num_requests, seed):
+            return synthetic_request_arenas(
+                model, num_requests, qps=50_000, seed=seed, drift=drift,
+                months_per_request=24.0 / 2048,
+            )
+
+        used = server()
+        first = used.serve_arenas(stream(160, seed=1))
+        assert first.num_replans == 0
+        assert used.monitor.samples_observed == 160
+        used.reset_serving_state()
+        assert used.monitor.samples_observed == 0
+        reused = used.serve_arenas(stream(2048, seed=2))
+        fresh = server().serve_arenas(stream(2048, seed=2))
+        assert reused.num_replans > 0
+        assert reused.summary(deterministic_only=True) == fresh.summary(
+            deterministic_only=True
+        )
 
 
 class TestDriftMonitor:
