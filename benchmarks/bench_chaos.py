@@ -53,6 +53,7 @@ from conftest import (
 )
 from repro.core import MultiTierSharder, ReplicationPolicy
 from repro.memory import GIB, node_from_tier_names
+from repro.reference.serving import ScalarLookupServer
 from repro.serving import (
     FaultSchedule,
     LookupServer,
@@ -115,15 +116,14 @@ def chaos_world(models, profiles):
     return model, profile, topology, arenas
 
 
-def _server(model, profile, topology, chaos=None, vectorized=True):
-    return LookupServer(
+def _server(model, profile, topology, chaos=None, server_type=LookupServer):
+    return server_type(
         model, profile, topology,
         sharder=MultiTierSharder(batch_size=BENCH_BATCH),
         config=CONFIG,
         replication=ReplicationPolicy(capacity_bytes=int(GIB * TOPO_SCALE)),
         chaos=chaos,
         emergency_commit_ms=(COMMIT_MS if chaos is not None else None),
-        vectorized=vectorized,
     )
 
 
@@ -190,7 +190,8 @@ def test_device_fail_drill_gates(chaos_world):
     parity_arenas = arenas[: max(1, len(arenas) // 4)]
     fast = _server(model, profile, topology, chaos=_drill())
     slow = _server(
-        model, profile, topology, chaos=_drill(), vectorized=False
+        model, profile, topology, chaos=_drill(),
+        server_type=ScalarLookupServer,
     )
     left = fast.serve_arenas(parity_arenas)
     right = slow.serve_arenas(parity_arenas)

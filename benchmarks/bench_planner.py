@@ -30,6 +30,7 @@ import time
 from conftest import BENCH_BATCH, BENCH_GPUS, format_table, report, report_json
 from repro.core import PlannerWorkspace, RecShardFastSharder, shard_sweep
 from repro.data.synthetic import TraceGenerator
+from repro.reference.planner import ScalarFastSharder
 from repro.stats import profile_trace
 
 # Shards per timed run; best of two runs per path.
@@ -48,11 +49,11 @@ def _plans_identical(a, b) -> bool:
 
 
 def _sharders():
-    scalar = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=False, name="RecShard"
+    scalar = ScalarFastSharder(
+        batch_size=BENCH_BATCH, name="RecShard"
     )
     fast = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=True, name="RecShard"
+        batch_size=BENCH_BATCH, name="RecShard"
     )
     return scalar, fast
 

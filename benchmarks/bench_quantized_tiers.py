@@ -36,6 +36,7 @@ from repro.dlrm import DLRM, DLRMConfig, auc_score, bce_loss, train_epoch
 from repro.dlrm.train import synthetic_ctr_labels
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.planner import ScalarFastSharder, ScalarMultiTierSharder
 
 MIN_CAPACITY_GAIN = float(
     os.environ.get("RECSHARD_BENCH_MIN_CAPACITY_GAIN", 1.8)
@@ -105,8 +106,8 @@ def test_quantized_capacity_and_parity(models, profiles):
     vec = MultiTierSharder(batch_size=BENCH_BATCH, steps=40).shard(
         model, profile, ladder
     )
-    scalar = MultiTierSharder(
-        batch_size=BENCH_BATCH, steps=40, vectorized=False
+    scalar = ScalarMultiTierSharder(
+        batch_size=BENCH_BATCH, steps=40
     ).shard(model, profile, ladder)
     multitier_parity = _plans_identical(vec, scalar)
     assert multitier_parity, "multi-tier scalar/vectorized parity broke"
@@ -121,8 +122,8 @@ def test_quantized_capacity_and_parity(models, profiles):
     fast_vec = RecShardFastSharder(batch_size=BENCH_BATCH).shard(
         model, profile, two_tier
     )
-    fast_scalar = RecShardFastSharder(
-        batch_size=BENCH_BATCH, vectorized=False
+    fast_scalar = ScalarFastSharder(
+        batch_size=BENCH_BATCH
     ).shard(model, profile, two_tier)
     two_tier_parity = _plans_identical(fast_vec, fast_scalar)
     assert two_tier_parity, "two-tier scalar/vectorized parity broke"

@@ -52,6 +52,7 @@ from repro.core import (
 )
 from repro.data.model import rm2
 from repro.memory import GIB, paper_node
+from repro.reference.serving import ScalarLookupServer, serve_objects
 from repro.serving import LookupServer, ServingConfig, synthetic_request_arenas
 from repro.stats import analytic_profile
 
@@ -112,12 +113,11 @@ def world():
     return model, profile, topology, plain, replicated
 
 
-def make_server(world, plan, vectorized=True):
+def make_server(world, plan, server_type=LookupServer):
     model, profile, topology, _, _ = world
-    return LookupServer(
+    return server_type(
         model, profile, topology, plan=plan,
         config=ServingConfig(max_batch_size=256, max_delay_ms=2.0),
-        vectorized=vectorized,
     )
 
 
@@ -136,13 +136,13 @@ def test_replica_routing_parity(world):
     arenas = stream(model, seed=42)
 
     def run_reference():
-        server = make_server(world, replicated, vectorized=False)
+        server = make_server(world, replicated, server_type=ScalarLookupServer)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = serve_objects(server, (r for arena in arenas for r in arena))
         return time.perf_counter() - start, metrics
 
     def run_fast():
-        server = make_server(world, replicated, vectorized=True)
+        server = make_server(world, replicated)
         start = time.perf_counter()
         metrics = server.serve_arenas(arenas)
         return time.perf_counter() - start, metrics

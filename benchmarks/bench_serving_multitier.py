@@ -44,6 +44,7 @@ from repro.core import MultiTierSharder
 from repro.data.drift import DriftModel
 from repro.engine import ShardedExecutor, TierStagingModel
 from repro.memory import GIB, node_from_tier_names
+from repro.reference.serving import ScalarLookupServer, serve_objects
 from repro.serving import (
     LookupServer,
     ServingConfig,
@@ -82,12 +83,11 @@ def world(models, profiles):
     return model, profile, topology, plan
 
 
-def make_server(world, vectorized=True, staging=None, max_batch=256):
+def make_server(world, server_type=LookupServer, staging=None, max_batch=256):
     model, profile, topology, plan = world
-    return LookupServer(
+    return server_type(
         model, profile, topology, plan=plan,
         config=ServingConfig(max_batch_size=max_batch, max_delay_ms=2.0),
-        vectorized=vectorized,
         staging=staging,
     )
 
@@ -122,13 +122,13 @@ def test_multitier_fast_path_speedup(world):
     )
 
     def run_reference():
-        server = make_server(world, vectorized=False)
+        server = make_server(world, server_type=ScalarLookupServer)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = serve_objects(server, (r for arena in arenas for r in arena))
         return time.perf_counter() - start, metrics
 
     def run_fast():
-        server = make_server(world, vectorized=True)
+        server = make_server(world)
         start = time.perf_counter()
         metrics = server.serve_arenas(arenas)
         return time.perf_counter() - start, metrics

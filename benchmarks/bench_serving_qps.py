@@ -34,6 +34,7 @@ import pytest
 from conftest import BENCH_BATCH, BENCH_GPUS, format_table, report, report_json
 from repro.core import RecShardFastSharder
 from repro.data.drift import DriftModel
+from repro.reference.serving import serve_objects
 from repro.serving import (
     LookupServer,
     ServingConfig,
@@ -224,7 +225,7 @@ def test_serving_fast_path_speedup(models, profiles, topology, headline, serving
     def run_reference():
         server = _make_server(model, profile, topology, plan, 256)
         start = time.perf_counter()
-        metrics = server.serve(r for arena in arenas for r in arena)
+        metrics = serve_objects(server, (r for arena in arenas for r in arena))
         return time.perf_counter() - start, metrics
 
     def run_fast():

@@ -51,6 +51,7 @@ from repro.data.model import EmbeddingTableSpec, ModelSpec
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor
 from repro.memory.topology import SystemTopology
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 
 MIN_STRATEGY_GAIN = float(
@@ -168,7 +169,7 @@ def test_auto_plan_scalar_vectorized_parity():
         sharder, model, profile, topology, strategies=("auto",)
     )
     fast = ShardedExecutor(model, sp, profile, topology)
-    slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+    slow = ScalarShardedExecutor(model, sp, profile, topology)
     gen = TraceGenerator(model, batch_size=BENCH_BATCH, seed=7)
     total_lookups = 0
     for _ in range(max(2, BENCH_ITERS)):

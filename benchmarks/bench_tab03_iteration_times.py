@@ -19,6 +19,7 @@ import numpy as np
 from conftest import BENCH_BATCH, BENCH_ITERS, format_table, report, report_json
 from repro.data.synthetic import TraceGenerator
 from repro.engine import RankRemapper, ShardedExecutor, replay_trace
+from repro.reference.engine import ScalarShardedExecutor
 
 PAPER_ROWS = {
     "RM1": {
@@ -122,7 +123,7 @@ def test_trace_replay_speedup(models, profiles, topology, headline):
     lookups = sum(b.total_lookups for b in batches)
 
     scalar_execs = [
-        ShardedExecutor(model, p, profile, topology, vectorized=False)
+        ScalarShardedExecutor(model, p, profile, topology)
         for p in plans
     ]
     ranker = RankRemapper(profile)

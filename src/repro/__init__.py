@@ -61,12 +61,10 @@ from repro.memory import SystemTopology, paper_node, three_tier_node
 from repro.serving import (
     LookupRequest,
     LookupServer,
-    MicroBatchQueue,
     RequestArena,
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import (
     FrequencyCDF,
@@ -87,7 +85,6 @@ __all__ = [
     "JaggedBatch",
     "LookupRequest",
     "LookupServer",
-    "MicroBatchQueue",
     "ModelProfile",
     "ModelSpec",
     "MultiTierSharder",
@@ -125,6 +122,5 @@ __all__ = [
     "shard_sweep",
     "speedup_table",
     "synthetic_request_arenas",
-    "synthetic_request_stream",
     "three_tier_node",
 ]

@@ -213,11 +213,13 @@ def _cmd_plan(args) -> int:
     """Build plans on the vectorized planner engine, optionally a sweep."""
     model, topology = _build_world(args)
     profile = analytic_profile(model)
-    sharder = RecShardFastSharder(
+    sharder_type = RecShardFastSharder
+    if not args.plan_vectorized:
+        from repro.reference.planner import ScalarFastSharder as sharder_type
+    sharder = sharder_type(
         batch_size=args.batch,
         steps=args.steps,
         reclaim_dead=args.reclaim_dead,
-        vectorized=args.plan_vectorized,
         name="RecShard",
     )
     if args.replicate_gib < 0:
@@ -430,9 +432,10 @@ def _cmd_replay(args) -> int:
     model, topology = _build_world(args)
     profile = analytic_profile(model)
     plan = _make_recshard(args).shard(model, profile, topology)
-    executor = ShardedExecutor(
-        model, plan, profile, topology, vectorized=args.vectorized
-    )
+    executor_type = ShardedExecutor
+    if not args.vectorized:
+        from repro.reference.engine import ScalarShardedExecutor as executor_type
+    executor = executor_type(model, plan, profile, topology)
     generator = TraceGenerator(model, batch_size=args.batch, seed=2024)
     batches = list(generator.batches(args.iters))
     executor.run_batch(batches[0])  # warm caches and lazy structures
@@ -571,15 +574,19 @@ def _cmd_serve(args) -> int:
             print(f"error: --chaos: {exc}", file=sys.stderr)
             return 2
     profile = analytic_profile(model)
-    config = ServingConfig(
-        max_batch_size=args.batch_requests,
-        max_delay_ms=args.max_delay_ms,
-        drift_threshold_pct=args.drift_threshold,
-        drift_min_samples=args.drift_min_samples,
-    )
+    try:
+        config = ServingConfig(
+            max_batch_size=args.batch_requests,
+            max_delay_ms=args.max_delay_ms,
+            drift_threshold_pct=args.drift_threshold,
+            drift_min_samples=args.drift_min_samples,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Beyond HBM+UVM the two-tier sharders cannot cut the CDF, so a
     # multi-tier topology is planned (and replanned under drift) by the
-    # vectorized multi-tier greedy.
+    # multi-tier greedy.
     if topology.num_tiers == 2:
         sharder = _make_recshard(args)
     else:
@@ -670,7 +677,9 @@ def _cmd_serve(args) -> int:
     if args.fast_serving:
         metrics = server.serve_arenas(arenas)
     else:
-        metrics = server.serve(r for arena in arenas for r in arena)
+        from repro.reference.serving import serve_objects
+
+        metrics = serve_objects(server, (r for arena in arenas for r in arena))
     elapsed = time.perf_counter() - start
     path = "columnar fast path" if args.fast_serving else "reference object path"
     print(f"served {model.name} on {args.gpus} GPUs over {tiers} "

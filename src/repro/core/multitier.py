@@ -11,22 +11,18 @@ the fastest tier.  Two solving methods are provided:
   scaling to full-size models (same machinery as
   :class:`~repro.core.fast.RecShardFastSharder`).
 
-Like the two-tier fast sharder, the greedy method has two paths that
-produce identical plans:
-
-* **vectorized** (default) — each tier's waterfill runs as one bulk
-  admission over the stacked arrays of a
-  :class:`~repro.core.workspace.PlannerWorkspace` (the running-minimum
-  *effective*-density ordering of
-  :meth:`~repro.core.fast.RecShardFastSharder._bulk_take` reproduces
-  the per-tier heap's pop order exactly; a tier's marginal gains all
-  share the same positive bandwidth-delta factor, so only budgets and
-  start boundaries differ between tiers).  This is the path serving
-  drift replans and ``shard_sweep`` tier grids take: the workspace is
-  built once per profile and every tier boundary after the first
-  resumes from the previous tier's boundary array.
-* **scalar** (``vectorized=False``) — the original per-step heapq
-  waterfill, kept as the parity reference.
+Like the two-tier fast sharder, the greedy method runs each tier's
+waterfill as one bulk admission over the stacked arrays of a
+:class:`~repro.core.workspace.PlannerWorkspace` (the running-minimum
+*effective*-density ordering of
+:meth:`~repro.core.fast.RecShardFastSharder._bulk_take` reproduces the
+per-tier heap's pop order exactly; a tier's marginal gains all share
+the same positive bandwidth-delta factor, so only budgets and start
+boundaries differ between tiers).  The workspace is built once per
+profile (serving drift replans and ``shard_sweep`` tier grids reuse
+it) and every tier boundary after the first resumes from the previous
+tier's boundary array.  The original per-step heapq waterfill is the
+parity oracle :class:`~repro.reference.planner.ScalarMultiTierSharder`.
 
 ``warm_start`` (the outgoing plan of a drift replan) steers the LPT
 assignment toward each table's previous device home, so a replan moves
@@ -35,7 +31,6 @@ tables only where drift actually changed relative costs.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -63,7 +58,6 @@ class MultiTierSharder:
         backend: str = "highs",
         time_limit: float = 60.0,
         mip_gap: float = 0.02,
-        vectorized: bool = True,
         name: str = "RecShard-multitier",
     ):
         if method not in ("greedy", "milp"):
@@ -74,7 +68,6 @@ class MultiTierSharder:
         self.backend = backend
         self.time_limit = time_limit
         self.mip_gap = mip_gap
-        self.vectorized = bool(vectorized)
         self.name = name
 
     def shard(
@@ -88,7 +81,7 @@ class MultiTierSharder:
         across calls (drift replans, sweeps); ``warm_start`` keeps
         tables on their previous devices where the splits still fit.
         """
-        if self.method == "greedy" and self.vectorized:
+        if self.method == "greedy":
             if workspace is None:
                 workspace = PlannerWorkspace(model, profile, steps=self.steps)
             elif workspace.steps != self.steps:
@@ -104,13 +97,10 @@ class MultiTierSharder:
             if workspace is not None
             else RecShardInputs.from_profile(model, profile, steps=self.steps)
         )
-        if self.method == "milp":
-            plan = self._shard_milp(inputs, topology)
-        else:
-            plan = self._shard_greedy(inputs, topology, warm_start=warm_start)
+        plan = self._shard_milp(inputs, topology)
         # Score the result under the analytic cost model (batched
-        # evaluator handles any tier count) so multi-tier plans report
-        # the same estimated-makespan metadata as the two-tier sharders.
+        # evaluator handles any tier count) so MILP plans report the
+        # same estimated-makespan metadata as the greedy ones.
         return stamp_estimated_costs(
             plan, model, profile, topology, self.batch_size,
             workspace=workspace,
@@ -123,12 +113,13 @@ class MultiTierSharder:
         self, workspace: PlannerWorkspace, topology: SystemTopology,
         warm_start: ShardingPlan | None = None,
     ) -> ShardingPlan:
-        """Vectorized greedy solve over a prebuilt workspace.
+        """Greedy solve over a prebuilt workspace.
 
-        Sequential per-tier waterfill as in :meth:`_shard_greedy`, each
-        tier's heap replaced by one bulk admission in effective-density
-        order against the tier's aggregate budget.  Plans are identical
-        to the scalar path's, table for table.
+        Sequential per-tier waterfill, each tier's heap replaced by one
+        bulk admission in effective-density order against the tier's
+        aggregate budget.  Plans are identical to
+        :class:`~repro.reference.planner.ScalarMultiTierSharder`'s,
+        table for table.
         """
         ws = workspace
         num_tiers = topology.num_tiers
@@ -140,7 +131,7 @@ class MultiTierSharder:
         d_bytes_fp32 = ws.d_grid_rows * ws.row_bytes[:, None]
         # The bandwidth-delta factor is the only per-tier term of the
         # marginal densities; the factor-free matrix is hoisted and the
-        # per-tier product kept in the scalar path's evaluation order
+        # per-tier product kept in the oracle's evaluation order
         # (base * factor, then / bytes) so densities — and therefore
         # tie-breaks against the heapq reference — stay bit-identical.
         d_cost_base = weights[:, None] * ws.d_frac[None, :]
@@ -184,74 +175,11 @@ class MultiTierSharder:
             workspace=ws,
         )
 
-    def _shard_greedy(
-        self, inputs: RecShardInputs, topology,
-        warm_start: ShardingPlan | None = None,
-    ) -> ShardingPlan:
-        num_tiers = topology.num_tiers
-        inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
-        weights = [
-            t.coverage * t.avg_pooling * t.row_bytes * self.batch_size * _MS
-            for t in inputs.tables
-        ]
-        # boundary_steps[j][t] = ICDF step index of boundary t (cumulative).
-        boundary_steps = [[0] * (num_tiers - 1) for _ in inputs.tables]
-
-        for tier in range(num_tiers - 1):
-            budget = topology.tiers[tier].capacity_bytes * topology.num_devices
-            tier_rb = [
-                quantized_row_bytes(t.row_bytes, topology.tiers[tier].precision)
-                for t in inputs.tables
-            ]
-            # Bytes already committed to this tier is zero: boundaries are
-            # cumulative, so tier t holds rows between boundaries t-1 and t.
-            heap: list[tuple[float, int]] = []
-
-            def push(j: int) -> None:
-                icdf = inputs.tables[j].icdf
-                step = boundary_steps[j][tier]
-                if step >= icdf.steps or inputs.tables[j].total_accesses <= 0:
-                    return
-                d_frac = float(icdf.fractions[step + 1] - icdf.fractions[step])
-                d_rows = math.ceil(icdf.rows[step + 1] - 1e-9) - math.ceil(
-                    icdf.rows[step] - 1e-9
-                )
-                d_bytes = d_rows * tier_rb[j]
-                gain = weights[j] * d_frac * (inv_bw[tier + 1] - inv_bw[tier])
-                density = gain / d_bytes if d_bytes else float("inf")
-                heapq.heappush(heap, (-density, j))
-
-            lower = [
-                boundary_steps[j][tier - 1] if tier > 0 else 0
-                for j in range(len(inputs.tables))
-            ]
-            for j in range(len(inputs.tables)):
-                boundary_steps[j][tier] = lower[j]
-                push(j)
-            remaining = budget
-            while heap and remaining > 0:
-                _, j = heapq.heappop(heap)
-                icdf = inputs.tables[j].icdf
-                step = boundary_steps[j][tier]
-                if step >= icdf.steps:
-                    continue
-                d_rows = math.ceil(icdf.rows[step + 1] - 1e-9) - math.ceil(
-                    icdf.rows[step] - 1e-9
-                )
-                d_bytes = d_rows * tier_rb[j]
-                if d_bytes > remaining:
-                    continue
-                boundary_steps[j][tier] = step + 1
-                remaining -= d_bytes
-                push(j)
-
-        return self._finish_greedy(inputs, topology, boundary_steps, warm_start)
-
     def _finish_greedy(
         self, inputs, topology, boundary_steps, warm_start
     ) -> ShardingPlan:
-        """Boundary steps -> placements, LPT assignment, plan (shared by
-        the scalar and vectorized waterfills)."""
+        """Boundary steps -> placements, LPT assignment, plan (shared
+        with the oracle's heap waterfill)."""
         inv_bw = [1.0 / t.bandwidth for t in topology.tiers]
         weights = [
             t.coverage * t.avg_pooling * t.row_bytes * self.batch_size * _MS

@@ -7,28 +7,25 @@ traffic divided by tier bandwidth — the paper's additive cost model (the
 summation property discussed under "Key Properties of RecShard's MILP":
 mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
-Two execution paths produce identical metrics:
+Batches are first translated to frequency ranks by a
+:class:`~repro.engine.ranked.RankRemapper` (the Section 4.3 remapping
+transform, run once per trace and shared by every strategy); per-tier
+accounting then reduces to counting ranks below each plan's cumulative
+tier boundaries — a handful of SIMD threshold scans per table, with no
+per-lookup tier gather.  The device cache model likewise operates
+directly on the sorted-by-construction frequency ranking: a hit is
+simply ``rank < cached_rows``.  Any tier count works: per-tier counts
+are prefix differences of the rank array against the plan's cumulative
+tier boundaries, computed by per-feature threshold scans (pre-ranked
+batches and :func:`replay_trace`) or by linear passes over one flat
+rank buffer (the fused jagged path serving takes).
 
-* **vectorized** (default): batches are first translated to frequency
-  ranks by a :class:`~repro.engine.ranked.RankRemapper` (the Section 4.3
-  remapping transform, run once per trace and shared by every strategy);
-  per-tier accounting then reduces to counting ranks below each plan's
-  cumulative tier boundaries — a handful of SIMD threshold scans per
-  table, with no per-lookup tier gather.  The device cache model
-  likewise operates directly on the sorted-by-construction frequency
-  ranking: a hit is simply ``rank < cached_rows``.
-* **scalar** (``vectorized=False``): the per-feature reference path
-  that resolves every lookup through the remapping table.  Kept as the
-  ground truth the parity tests check the fast path against.  Both
-  paths classify independently but share :meth:`_reduce_counts`, so
-  identical classifications yield *bit-identical* device times — the
-  equality the multi-tier serving bench gates on.
-
-Both paths handle any tier count: per-tier counts are prefix
-differences of the rank array against the plan's cumulative tier
-boundaries, whether computed by threshold scans (ranked path), one
-global ``searchsorted`` over interleaved per-table edge grids (fused
-jagged path), or per-lookup remap-table gathers (scalar reference).
+The ground truth the parity tests check all of this against is
+:class:`~repro.reference.engine.ScalarShardedExecutor`, which resolves
+every lookup through the remapping tables.  It classifies
+independently but shares :meth:`ShardedExecutor._reduce_counts`, so
+identical classifications yield *bit-identical* device times — the
+equality the multi-tier serving bench gates on.
 
 Two frequency-informed fast-lane models (:mod:`repro.engine.cache`) can
 be layered on top:
@@ -51,11 +48,11 @@ resolves below that cutoff is routed to whichever device currently
 carries the least served bytes instead of the table's home.  Routing is
 greedy least-loaded over running per-device byte counters (ties to the
 lowest device id; the counters see each batch's home-lane bytes before
-its replicated lookups, in trace order).  The vectorized path computes
-each feature's routed counts in closed form
-(:func:`least_loaded_counts` — the greedy sequence is the ``n``
-smallest pops across per-device arithmetic progressions); the scalar
-path assigns lookup by lookup, and both produce bit-identical metrics.
+its replicated lookups, in trace order).  The executor computes each
+feature's routed counts in closed form (:func:`least_loaded_counts` —
+the greedy sequence is the ``n`` smallest pops across per-device
+arithmetic progressions); the scalar oracle assigns lookup by lookup,
+and both produce bit-identical metrics.
 Routed accesses are counted on the *serving* device's fastest tier, so
 the per-device access totals (``RunMetrics.load_imbalance``) show the
 balancing effect directly.
@@ -65,10 +62,10 @@ the table-wise-row-wise strategy cuts — are *registered lanes* in a
 :class:`~repro.engine.lanes.LaneRegistry` built once per executor.
 Each lane is a per-table cumulative rank cutoff; classification is one
 prefix count per lane, computed by the fused path (three linear passes
-over the flat rank buffer) and by the scalar reference (per-feature
-threshold scans / remap-table gathers).  Both feed the shared
-:meth:`ShardedExecutor._reduce_counts`, so a lane registered once gets
-a vectorized fast path and a bit-identical scalar reference for free.
+over the flat rank buffer) and by per-feature threshold scans.  Both
+feed the shared :meth:`ShardedExecutor._reduce_counts`, so a lane
+registered once gets every classification path, and the scalar
+oracle's bit-identical reference, for free.
 
 Per-table sharding strategies
 (:class:`~repro.core.strategies.StrategyPlan`) reuse the framework:
@@ -88,7 +85,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.plan import ShardingPlan
-from repro.core.remap import RemappingTable
 from repro.core.replicate import ReplicatedPlan
 from repro.core.strategies import (
     StrategyPlan,
@@ -126,8 +122,6 @@ class ShardedExecutor:
         staging: optional per-device staging model; each cold tier's
             expectedly hottest resident rows are served at the
             next-faster tier's bandwidth (multi-tier hierarchies).
-        vectorized: use the rank-space fast path (default).  The scalar
-            path is the bit-equivalent reference implementation.
         ranker: a pre-built :class:`RankRemapper` for this profile, to
             share rank arrays across the executors of several
             strategies.  Built lazily from ``profile`` when omitted.
@@ -147,7 +141,6 @@ class ShardedExecutor:
         validate: bool = True,
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
-        vectorized: bool = True,
         ranker: RankRemapper | None = None,
         replication: ReplicatedPlan | None = None,
     ):
@@ -187,9 +180,7 @@ class ShardedExecutor:
         self.replication = replication
         self.profile = profile
         self.topology = topology
-        self.vectorized = vectorized
         self._ranker = ranker
-        self._remap_tables: list[RemappingTable] | None = None
         self.device_of = np.array([p.device for p in plan], dtype=np.int64)
         self.row_bytes = np.array(
             [t.row_bytes for t in model.tables], dtype=np.float64
@@ -242,7 +233,6 @@ class ShardedExecutor:
                 replication.replica_rows, self._tier_bounds[:, 0]
             )
         self._has_replicas = bool(self._replica_cut.any())
-        self._replica_cut_list = [int(c) for c in self._replica_cut]
         self._row_bytes_int = np.array(
             [t.row_bytes for t in model.tables], dtype=np.int64
         )
@@ -330,7 +320,7 @@ class ShardedExecutor:
         self._cut_points = cut_points
         # The lane registry: every cutoff the classification paths scan,
         # in pass order.  Registering a lane here is all it takes to get
-        # the fused fast path and the scalar parity reference.
+        # every classification path.
         self._lanes: LaneRegistry = build_lanes(
             self._tier_bounds,
             self._tier_cutoffs,
@@ -342,20 +332,6 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # Lazily-built helpers
     # ------------------------------------------------------------------
-    @property
-    def remap_tables(self) -> list[RemappingTable]:
-        """Per-table (tier, offset) remapping — the scalar path's lookup
-        structure, also the production artifact of Section 4.3.  Built on
-        first use; the vectorized path never needs it."""
-        if self._remap_tables is None:
-            self._remap_tables = [
-                RemappingTable(
-                    self.profile[p.table_index].cdf.row_order, p.rows_per_tier
-                )
-                for p in self.plan
-            ]
-        return self._remap_tables
-
     @property
     def ranker(self) -> RankRemapper:
         """The hashed-index → frequency-rank translator for this profile."""
@@ -389,15 +365,8 @@ class ShardedExecutor:
                 :class:`~repro.core.replicate.ReplicatedPlan`).
         """
         if isinstance(batch, RankedBatch):
-            if not self.vectorized:
-                raise ValueError(
-                    "scalar executor cannot consume pre-ranked batches; "
-                    "pass jagged batches or use vectorized=True"
-                )
             return self.run_ranked(batch)
-        if self.vectorized:
-            return self.run_jagged(batch)
-        return self._run_batch_scalar(batch)
+        return self.run_jagged(batch)
 
     # ------------------------------------------------------------------
     # Classification / reduction split (multi-process serving seam)
@@ -421,9 +390,7 @@ class ShardedExecutor:
         front-end aggregator in batch order — keeping merged metrics
         bit-identical to a single-process run.
         """
-        if self.vectorized:
-            return self._classify_jagged(batch)
-        return self._classify_scalar(batch)
+        return self._classify_jagged(batch)
 
     def reduce_classified(
         self,
@@ -471,9 +438,9 @@ class ShardedExecutor:
         each cold tier's staged rows, and the replica lane; the skipped
         cold-tier lookups are counted in ``last_browned`` (per batch)
         and ``browned_by_table`` (cumulative).  Purely a reduce-time
-        transform: classification is untouched, so the scalar and
-        vectorized paths (and the multi-process classify/reduce split)
-        stay bit-identical under brownout.
+        transform: classification is untouched, so every classification
+        path (and the multi-process classify/reduce split) stays
+        bit-identical under brownout.
 
         Not supported with table-wise-row-wise strategy shards: a twrw
         table's cut-lane prefixes are computed over all its ranks, so
@@ -566,7 +533,7 @@ class ShardedExecutor:
     def run_jagged(
         self, batch: JaggedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused vectorized accounting over a jagged batch.
+        """Fused accounting over a jagged batch.
 
         Metric-identical to ``run_ranked(ranker.rank_batch(batch))``,
         restructured for the serving shape (hundreds of tables, small
@@ -581,6 +548,21 @@ class ShardedExecutor:
         """
         return self._reduce_counts(*self._classify_jagged(batch))
 
+    def _zero_classification(self) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
+    ]:
+        """Zeroed ``(counts, hits, replicas, cuts)`` for one batch."""
+        num_tables = len(self.plan)
+        shape = (num_tables, self.topology.num_tiers)
+        return (
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None,
+            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
+            if self._num_cut_lanes
+            else None,
+        )
+
     def _classify_jagged(self, batch: JaggedBatch) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
@@ -591,21 +573,9 @@ class ShardedExecutor:
                 f"batch has {batch.num_features} features, plan has "
                 f"{num_tables} tables"
             )
-        num_tiers = self.topology.num_tiers
         total = batch.total_lookups
         if total == 0:
-            zeros = np.zeros((num_tables, num_tiers), dtype=np.int64)
-            replicas = (
-                np.zeros(num_tables, dtype=np.int64)
-                if self._has_replicas
-                else None
-            )
-            cuts = (
-                np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-                if self._num_cut_lanes
-                else None
-            )
-            return zeros, zeros.copy(), replicas, cuts
+            return self._zero_classification()
         dtype = self.ranker.fused_dtype
         if (
             self._flat_rank_scratch.dtype != dtype
@@ -705,7 +675,7 @@ class ShardedExecutor:
     def run_ranked(
         self, ranked: RankedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized accounting over a rank-space batch.
+        """Accounting over a rank-space batch.
 
         For each table, per-tier counts come from threshold scans over
         the rank array against the plan's cumulative tier boundaries
@@ -720,17 +690,7 @@ class ShardedExecutor:
                 f"batch has {ranked.num_features} features, plan has "
                 f"{num_tables} tables"
             )
-        num_tiers = self.topology.num_tiers
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        replicas = (
-            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None
-        )
-        cuts = (
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None
-        )
+        counts, hits, replicas, cuts = self._zero_classification()
         max_lookups = max((f.ranks.size for f in ranked), default=0)
         if self._mask_scratch.size < max_lookups:
             self._mask_scratch = np.empty(max_lookups, dtype=bool)
@@ -764,8 +724,8 @@ class ShardedExecutor:
         materializing tier ids), one per active fast-lane cutoff (the
         per-table skip when the cutoff sits at the tier's lower
         boundary is preserved), one per strategy cut lane into
-        ``cuts_row``.  This is the scalar parity reference of the fused
-        path — same lanes, same reduction, bit-identical metrics.
+        ``cuts_row``.  Same lanes and same reduction as the fused path,
+        so bit-identical metrics.
 
         Returns the feature's replica-lane count (ranks below the
         replica cutoff; 0 without replication).  Replicated ranks stay
@@ -833,9 +793,9 @@ class ShardedExecutor:
         splits the lookup counts largest-remainder-proportionally by
         dim; a twrw table crosses its tier prefixes with the classified
         cut prefixes (``cuts``) via the min/max identity to fill the
-        per-(tier, shard) cells exactly.  Shared by the scalar and
-        vectorized paths, so identical classifications produce
-        bit-identical times.
+        per-(tier, shard) cells exactly.  Shared by every
+        classification path and the scalar oracle, so identical
+        classifications produce bit-identical times.
         """
         num_devices = self.topology.num_devices
         num_tiers = self.topology.num_tiers
@@ -976,127 +936,44 @@ class ShardedExecutor:
         """Send each feature's replicated lookups to least-loaded devices.
 
         Features are processed in trace (table) order; within a feature
-        every lookup weighs the table's ``row_bytes``, so the greedy
-        per-lookup assignment has the closed form
-        :func:`least_loaded_counts` the vectorized path uses.  The
-        scalar path runs the per-lookup argmin loop it summarizes —
-        the parity reference the replication bench pins.  Both mutate
-        the executor's running byte counters.
-
-        Failed devices are masked out of the lane: the closed form runs
-        on the compacted surviving load vector and scatters back (the
-        ascending survivor order preserves the lowest-device-id tie
-        break), and the scalar loop takes its argmin over survivors —
-        bit-parity holds under any fail set.
+        every lookup weighs the table's ``row_bytes``, so
+        :meth:`_take_replicas` assigns the feature's lookups at once.
+        Failed devices are masked out of the lane.
         """
         num_devices = self.topology.num_devices
         alive = self._device_alive
-        masked = not alive.all()
-        alive_idx = np.flatnonzero(alive) if masked else None
+        alive_idx = None if alive.all() else np.flatnonzero(alive)
         acc = np.zeros(num_devices, dtype=np.int64)
         routed_bytes = np.zeros(num_devices, dtype=np.int64)
         for j in np.flatnonzero(replicas):
-            n = int(replicas[j])
             w = int(self._row_bytes_int[j])
-            if self.vectorized:
-                if masked:
-                    taken = np.zeros(num_devices, dtype=np.int64)
-                    taken[alive_idx] = least_loaded_counts(
-                        self._replica_load[alive_idx], n, w
-                    )
-                else:
-                    taken = least_loaded_counts(self._replica_load, n, w)
-                self._replica_load += taken * w
-            else:
-                taken = np.zeros(num_devices, dtype=np.int64)
-                load = self._replica_load
-                if masked:
-                    for _ in range(n):
-                        device = int(alive_idx[np.argmin(load[alive_idx])])
-                        taken[device] += 1
-                        load[device] += w
-                else:
-                    for _ in range(n):
-                        device = int(np.argmin(load))
-                        taken[device] += 1
-                        load[device] += w
+            taken = self._take_replicas(int(replicas[j]), w, alive_idx)
             acc += taken
             routed_bytes += taken * w
         return acc, routed_bytes.astype(np.float64)
 
-    def _run_batch_scalar(
-        self, batch: JaggedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference path: resolve every lookup through the remap tables.
+    def _take_replicas(
+        self, n: int, w: int, alive_idx: np.ndarray | None
+    ) -> np.ndarray:
+        """Route ``n`` lookups of ``w`` bytes least-loaded; per-device counts.
 
-        Classification is per lookup — tier membership and within-tier
-        offsets come straight from the remapping tables of Section 4.3
-        rather than from rank thresholds — but the classified counts
-        feed the same :meth:`_reduce_counts` as the vectorized paths,
-        so agreement on classification means bit-identical metrics.
+        The greedy per-lookup assignment has the closed form
+        :func:`least_loaded_counts`; the scalar oracle overrides this
+        with the per-lookup argmin loop it summarizes.  With failed
+        devices (``alive_idx`` lists the survivors) the closed form runs
+        on the compacted surviving load vector and scatters back — the
+        ascending survivor order preserves the lowest-device-id tie
+        break.  Advances the running byte counters.
         """
-        return self._reduce_counts(*self._classify_scalar(batch))
-
-    def _classify_scalar(self, batch: JaggedBatch) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Per-lookup remap-table classification of one batch (no reduce)."""
-        num_tables = len(self.plan)
-        num_tiers = self.topology.num_tiers
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        replicas = (
-            np.zeros(num_tables, dtype=np.int64) if self._has_replicas else None
-        )
-        cuts = (
-            np.zeros((num_tables, self._num_cut_lanes), dtype=np.int64)
-            if self._num_cut_lanes
-            else None
-        )
-        scan_hits = self.cache is not None or self.staging is not None
-        for j, feature in enumerate(batch):
-            if feature.values.size == 0:
-                continue
-            cut = self._replica_cut_list[j]
-            table_cuts = self._cut_points[j] if cuts is not None else None
-            has_cuts = table_cuts is not None and bool(table_cuts.any())
-            if scan_hits or cut or has_cuts:
-                tiers, offsets = self.remap_tables[j].apply(feature.values)
-                counts[j] = np.bincount(tiers, minlength=num_tiers)
-                if has_cuts:
-                    # A (tier, offset) pair maps back to the global
-                    # frequency rank by adding the cumulative rows of
-                    # the preceding tiers, so strategy cut lanes are
-                    # rank thresholds here too.
-                    tier_base = np.concatenate(
-                        ([0], self._tier_bounds[j, :-1])
-                    )
-                    ranks = offsets + tier_base[tiers]
-                    for s in range(table_cuts.size):
-                        edge = int(table_cuts[s])
-                        if edge:
-                            cuts[j, s] = int(np.count_nonzero(ranks < edge))
-                if cut:
-                    # A tier-0 offset *is* the row's frequency rank
-                    # (the fastest tier holds the leading ranked rows),
-                    # so the replica lane is an offset threshold here.
-                    replicas[j] = np.count_nonzero(
-                        (tiers == 0) & (offsets < cut)
-                    )
-                threshold = self._cache_threshold[j]
-                if self.cache is not None and threshold > 0:
-                    hits[j, 0] = np.count_nonzero(
-                        (tiers == 0) & (offsets >= cut) & (offsets < threshold)
-                    )
-                for t in range(1, num_tiers):
-                    staged = self._stage_rows[j, t]
-                    if staged > 0:
-                        hits[j, t] = np.count_nonzero(
-                            (tiers == t) & (offsets < staged)
-                        )
-            else:
-                counts[j] = self.remap_tables[j].tier_counts(feature.values)
-        return counts, hits, replicas, cuts
+        if alive_idx is None:
+            taken = least_loaded_counts(self._replica_load, n, w)
+        else:
+            taken = np.zeros(self.topology.num_devices, dtype=np.int64)
+            taken[alive_idx] = least_loaded_counts(
+                self._replica_load[alive_idx], n, w
+            )
+        self._replica_load += taken * w
+        return taken
 
     def run(self, batches) -> RunMetrics:
         """Execute a sequence of batches and collect metrics.
@@ -1166,8 +1043,7 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
     ``(value, device)`` pairs popped from the per-device arithmetic
     progressions ``load[d] + m * w`` — so one integer binary search for
     the value of the ``n``-th pop replaces the per-item loop, and the
-    result is bit-identical to the scalar argmin loop the reference
-    executor runs.
+    result is bit-identical to the per-item argmin loop it replaces.
 
     Args:
         load: current per-device byte counters (not modified).

@@ -62,7 +62,6 @@ def run_experiment(
     profile: ModelProfile | None = None,
     trace_seed: int = 2024,
     shared_batches: list | None = None,
-    vectorized: bool = True,
     ranker: RankRemapper | None = None,
 ) -> ExperimentResult:
     """Run the full pipeline for one strategy.
@@ -80,7 +79,6 @@ def run_experiment(
             (guarantees every strategy sees identical traffic); may be
             jagged batches or a pre-ranked trace from the profile's
             :class:`~repro.engine.ranked.RankRemapper`.
-        vectorized: executor mode (see :class:`ShardedExecutor`).
         ranker: shared rank remapper for ``profile`` (built lazily by
             the executor when omitted).
     """
@@ -93,9 +91,7 @@ def run_experiment(
     if shared_batches is None:
         generator = TraceGenerator(model, batch_size=batch_size, seed=trace_seed)
         shared_batches = list(generator.batches(iterations))
-    executor = ShardedExecutor(
-        model, plan, profile, topology, vectorized=vectorized, ranker=ranker
-    )
+    executor = ShardedExecutor(model, plan, profile, topology, ranker=ranker)
     metrics = executor.run(shared_batches)
     return ExperimentResult(
         strategy=sharder.name,
@@ -115,12 +111,11 @@ def compare_strategies(
     iterations: int = 5,
     profile: ModelProfile | None = None,
     trace_seed: int = 2024,
-    vectorized: bool = True,
 ) -> dict[str, ExperimentResult]:
     """Run several strategies over identical batches (Tables 3-5).
 
-    In vectorized mode all strategies replay the common trace in one
-    fused :func:`~repro.engine.executor.replay_trace` pass: each batch's
+    All strategies replay the common trace in one fused
+    :func:`~repro.engine.executor.replay_trace` pass: each batch's
     lookups are translated to frequency ranks once (the Section 4.3
     remapping transform) and every plan's threshold scans run while the
     rank array is cache-resident, so per-strategy cost is pure counting.
@@ -129,22 +124,6 @@ def compare_strategies(
         profile = analytic_profile(model)
     generator = TraceGenerator(model, batch_size=batch_size, seed=trace_seed)
     shared_batches = list(generator.batches(iterations))
-    if not vectorized:
-        results = {}
-        for sharder in sharders:
-            results[sharder.name] = run_experiment(
-                model,
-                sharder,
-                topology,
-                batch_size=batch_size,
-                iterations=iterations,
-                profile=profile,
-                trace_seed=trace_seed,
-                shared_batches=shared_batches,
-                vectorized=False,
-            )
-        return results
-
     ranker = RankRemapper(profile)
     executors = []
     shard_times = []

@@ -9,18 +9,20 @@ module makes that explicit.  A :class:`Lane` is one named per-table
 cutoff vector with a role; a :class:`LaneRegistry` is the ordered set
 the executor classifies against.
 
-Registration buys each lane both execution paths for free:
+Registration buys each lane every classification path for free:
 
-* the **fused vectorized** path computes one prefix count per lane over
-  the whole batch's flat rank buffer (three linear passes: repeat,
-  compare, segmented reduce — see ``ShardedExecutor._classify_fused``);
-* the **scalar reference** path computes the same prefix count per
-  feature with one threshold scan (``_scan_feature``) or reconstructs
-  ranks through the remapping tables (``_classify_scalar``).
+* the **fused** path computes one prefix count per lane over the whole
+  batch's flat rank buffer (three linear passes: repeat, compare,
+  segmented reduce — see ``ShardedExecutor._classify_fused``);
+* the **per-feature** path (pre-ranked batches and ``replay_trace``)
+  computes the same prefix count with one threshold scan per feature
+  (``ShardedExecutor._scan_feature``).
 
-Both paths feed the shared reduction, so identical prefix counts mean
-bit-identical metrics — the per-lane parity gate the tests and benches
-pin.
+Both feed the shared reduction, and so does the parity oracle
+:class:`~repro.reference.engine.ScalarShardedExecutor`, which
+reconstructs ranks through the remapping tables instead: identical
+prefix counts mean bit-identical metrics — the per-lane parity gate
+the tests and benches pin.
 
 Lane roles:
 

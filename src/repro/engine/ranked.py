@@ -1,4 +1,4 @@
-"""Frequency-rank trace representation — the vectorized engine's input.
+"""Frequency-rank trace representation — the executor's input.
 
 Every sharding strategy in this repo splits a table's rows in the same
 descending-frequency order (the profile's
@@ -18,7 +18,7 @@ once per trace, mirroring the paper's remapping transform that runs in
 the data-loading pipeline, outside the training critical path.  The
 resulting :class:`RankedBatch` can then be replayed against *any*
 number of plans with pure threshold counting — no per-lookup gathers,
-no per-row Python — which is where the vectorized
+no per-row Python — which is where
 :class:`~repro.engine.executor.ShardedExecutor` gets its speedup.
 """
 

@@ -15,16 +15,15 @@ Components:
   request chunks; microbatches are offset slices, and
   :class:`~repro.serving.queue.LookupRequest` objects are zero-copy
   views for the object API.
-* :class:`~repro.serving.queue.MicroBatchQueue` — reference admission
-  queue that coalesces single-sample lookup requests into jagged
-  batches, bounded by batch size and queueing delay.
+* :func:`~repro.serving.queue.iter_microbatch_arenas` — microbatching
+  admission, bounded by batch size and queueing delay, computed over
+  whole arrival arrays.
 * :class:`~repro.serving.server.LookupServer` — discrete-event server
-  driving the vectorized :class:`~repro.engine.executor.ShardedExecutor`
-  on a simulated clock; supports drift-triggered replanning.  Its
-  :meth:`~repro.serving.server.LookupServer.serve_arenas` fast path
-  computes admission vectorized over arrival arrays and produces
-  metrics bit-identical to the per-request
-  :meth:`~repro.serving.server.LookupServer.serve` loop.
+  driving the :class:`~repro.engine.executor.ShardedExecutor` on a
+  simulated clock; supports drift-triggered replanning.  Its
+  :meth:`~repro.serving.server.LookupServer.serve_arenas` loop produces
+  metrics bit-identical to the per-request object loop
+  :func:`~repro.reference.serving.serve_objects`, the parity oracle.
 * :class:`~repro.serving.metrics.ServingMetrics` — columnar per-batch
   latency records with QPS, p50/p99, per-device utilization, and
   off-critical-path replan build cost views.
@@ -58,7 +57,7 @@ Quickstart::
 
     from repro import rm2, paper_node, analytic_profile
     from repro.core import RecShardFastSharder
-    from repro.serving import LookupServer, ServingConfig, synthetic_request_stream
+    from repro.serving import LookupServer, ServingConfig, synthetic_request_arenas
 
     model = rm2(num_features=97, row_scale=1e-3 * 97 / 397)
     topology = paper_node(num_gpus=8, scale=1e-3 * 97 / 397)
@@ -69,7 +68,7 @@ Quickstart::
         config=ServingConfig(max_batch_size=256, max_delay_ms=2.0),
     )
     arenas = synthetic_request_arenas(model, num_requests=2000, qps=20000, seed=7)
-    metrics = server.serve_arenas(arenas)   # columnar fast path
+    metrics = server.serve_arenas(arenas)
     print(metrics.format_report())
 """
 
@@ -99,7 +98,6 @@ from repro.serving.overload import (
 )
 from repro.serving.queue import (
     LookupRequest,
-    MicroBatchQueue,
     coalesce_requests,
     iter_microbatch_arenas,
 )
@@ -108,7 +106,6 @@ from repro.serving.server import (
     LookupServer,
     ServingConfig,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 
 __all__ = [
@@ -119,7 +116,6 @@ __all__ = [
     "FaultSchedule",
     "LookupRequest",
     "LookupServer",
-    "MicroBatchQueue",
     "MultiProcessServer",
     "OverloadControl",
     "OverloadController",
@@ -141,6 +137,5 @@ __all__ = [
     "parse_chaos_spec",
     "parse_priority_spec",
     "synthetic_request_arenas",
-    "synthetic_request_stream",
     "worker_kill",
 ]

@@ -17,8 +17,8 @@ only slices views.
 
 :class:`~repro.serving.queue.LookupRequest` remains the object API:
 :meth:`RequestArena.request` materializes one as zero-copy views into
-the arena's arrays, which is what keeps the PR-1 object path (and every
-caller of ``synthetic_request_stream``) working unchanged on top of
+the arena's arrays, which is what keeps the per-request oracle loop
+(:mod:`repro.reference.serving`) working unchanged on top of
 arena-backed generation.
 """
 

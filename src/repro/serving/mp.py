@@ -177,11 +177,10 @@ def _worker_main(worker_id, spec, task_queue, result_queue, max_mappings):
     slab repacked with a later batch (stamp mismatch).  The front-end
     drops ``gone`` results for satisfied seqs.
     """
-    model, plan, profile, topology, cache, staging, vectorized = spec
+    model, plan, profile, topology, cache, staging = spec
     executor = ShardedExecutor(
         model, plan, profile, topology,
-        cache=cache, staging=staging,
-        vectorized=vectorized, ranker=RankRemapper(profile),
+        cache=cache, staging=staging, ranker=RankRemapper(profile),
     )
     mappings = _SlabMappings(max_mappings)
     try:
@@ -278,7 +277,7 @@ class MultiProcessServer:
 
     Args:
         model, profile, topology, plan, sharder, config, cache,
-        staging, replication, vectorized: as for ``LookupServer``.
+        staging, replication: as for ``LookupServer``.
         workers: worker process count (>= 1).
         queue_depth: aggregate task-queue bound (default
             ``2 * workers``), split evenly across the per-worker
@@ -328,7 +327,6 @@ class MultiProcessServer:
         cache=None,
         staging=None,
         replication=None,
-        vectorized: bool = True,
         workers: int = 2,
         queue_depth: int | None = None,
         start_method: str | None = None,
@@ -352,7 +350,6 @@ class MultiProcessServer:
             model, profile, topology,
             plan=plan, sharder=sharder, config=config,
             cache=cache, staging=staging, replication=replication,
-            vectorized=vectorized,
             # The spine replays the device events in batch order; worker
             # events are the supervisor's to fire.
             chaos=(
@@ -397,8 +394,7 @@ class MultiProcessServer:
             else mp.get_context()
         )
         self._spec = (
-            model, spine.plan, spine.profile, topology,
-            cache, staging, bool(vectorized),
+            model, spine.plan, spine.profile, topology, cache, staging,
         )
         self._procs: list = []
         self._task_qs: list = []

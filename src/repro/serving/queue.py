@@ -1,4 +1,4 @@
-"""Microbatching admission queue for online embedding lookups.
+"""Microbatching admission for online embedding lookups.
 
 Inference requests arrive one sample at a time, but the sharded engine
 (and the real FBGEMM kernels it stands in for) only reaches hardware
@@ -8,21 +8,19 @@ recommender — is a microbatching queue: hold arriving requests briefly
 and release them as one batch when either the batch-size cap is hit or
 the oldest request has waited its latency budget.
 
-The queue is deterministic and clock-driven (callers pass ``now_ms``),
-so serving simulations replay exactly; nothing here depends on wall
-time or threads.
-
-This module is the serving layer's *object reference path*: the
-columnar fast path (:mod:`repro.serving.arena`,
-:meth:`~repro.serving.server.LookupServer.serve_arenas`) computes the
-same release decisions vectorized over arrival arrays and is checked
-bit-for-bit against this implementation by the serving parity tests.
+:func:`iter_microbatch_arenas` makes those release decisions over the
+arrival arrays of columnar :mod:`repro.serving.arena` chunks,
+deterministically (no wall time, no threads), and is checked bit for
+bit against the per-request oracle
+:class:`~repro.reference.serving.MicroBatchQueue`.  The object view of
+a request (:class:`LookupRequest`, :func:`coalesce_requests`) stays
+here because :meth:`~repro.serving.arena.RequestArena.from_requests`
+packs it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,7 +92,7 @@ def coalesce_requests(requests: list[LookupRequest]) -> JaggedBatch:
 
 
 def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
-    """Vectorized admission over arena chunks: yield released microbatches.
+    """Admission over arena chunks: yield released microbatches.
 
     The batch-formation core of the columnar serving fast path, shared
     by the in-process :meth:`~repro.serving.server.LookupServer.serve_arenas`
@@ -111,8 +109,9 @@ def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
     later arrival past that deadline.  An undecided tail is carried as a
     list of zero-copy slices (total size below the cap, every arrival
     before the head's deadline) and only stitched when its batch
-    releases.  Release semantics match :class:`MicroBatchQueue` bit for
-    bit (``deadline <= now`` flushes before the newcomer is submitted).
+    releases.  Release semantics match the per-request
+    :class:`~repro.reference.serving.MicroBatchQueue` bit for bit
+    (``deadline <= now`` flushes before the newcomer is submitted).
 
     Args:
         arenas: :class:`~repro.serving.arena.RequestArena` chunks in
@@ -175,70 +174,7 @@ def iter_microbatch_arenas(arenas, max_batch_size: int, max_delay_ms: float):
     if pending_count:
         # Stream over: the tail waits out its delay budget (all of it
         # arrived before the head's deadline, so it releases as one
-        # batch — mirroring the reference drain loop).
+        # batch — mirroring the object loop's drain).
         merged = RequestArena.concat(pending)
         yield merged, float(merged.arrival_ms[0]) + delay
 
-
-@dataclass
-class MicroBatchQueue:
-    """Admission queue releasing microbatches by size or delay bound.
-
-    A batch is *ready* when ``max_batch_size`` requests are waiting, or
-    when the oldest waiting request has been queued for at least
-    ``max_delay_ms`` (its latency budget for batching).  Larger batches
-    amortize per-batch overhead and raise throughput; the delay bound
-    caps the queueing latency a lightly-loaded server adds.
-
-    Attributes:
-        max_batch_size: release threshold in requests (>= 1).
-        max_delay_ms: longest time a request may wait for batchmates.
-    """
-
-    max_batch_size: int = 256
-    max_delay_ms: float = 1.0
-    _pending: deque = field(default_factory=deque, repr=False)
-
-    def __post_init__(self):
-        if self.max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def submit(self, request: LookupRequest) -> None:
-        """Enqueue one request (arrivals must be non-decreasing in time)."""
-        if self._pending and request.arrival_ms < self._pending[-1].arrival_ms:
-            raise ValueError(
-                f"request {request.request_id} arrives at {request.arrival_ms}"
-                f" ms, before the queue tail"
-            )
-        self._pending.append(request)
-
-    def deadline_ms(self) -> float:
-        """When the current head request forces a release (inf if empty)."""
-        if not self._pending:
-            return float("inf")
-        return self._pending[0].arrival_ms + self.max_delay_ms
-
-    def ready(self, now_ms: float) -> bool:
-        """Whether a batch should be released at ``now_ms``."""
-        if not self._pending:
-            return False
-        return (
-            len(self._pending) >= self.max_batch_size
-            or now_ms >= self.deadline_ms()
-        )
-
-    def pop_batch(self) -> list[LookupRequest]:
-        """Release up to ``max_batch_size`` oldest requests (FIFO).
-
-        Callers should check :meth:`ready` first; popping early is
-        allowed (e.g. to flush at shutdown) but wastes batching headroom.
-        """
-        if not self._pending:
-            raise ValueError("pop_batch on an empty queue")
-        count = min(len(self._pending), self.max_batch_size)
-        return [self._pending.popleft() for _ in range(count)]

@@ -3,7 +3,7 @@
 A :class:`LookupServer` is a discrete-event simulation of an inference
 deployment of one sharded embedding model: requests arrive on a
 simulated clock, admission coalesces them into microbatches, and each
-released microbatch executes on the vectorized
+released microbatch executes on the
 :class:`~repro.engine.executor.ShardedExecutor`, whose per-device times
 come from the same tiered-bandwidth cost model the MILP optimizes.  The
 engine is model-parallel across tables (as in training), so a batch
@@ -11,18 +11,13 @@ completes when its slowest device does, and a plan with balanced,
 HBM-resident hot rows serves strictly higher QPS at lower tail latency
 — the serving-side restatement of the paper's Table 3 result.
 
-Two admission paths produce bit-identical metrics:
-
-* **columnar fast path** (:meth:`LookupServer.serve_arenas`, default in
-  the CLI): requests stay feature-major in
-  :class:`~repro.serving.arena.RequestArena` chunks; release points
-  (size cap / delay deadline) are computed vectorized over the
-  arrival-time array, and each microbatch is an offset slice of the
-  arena — no per-request objects, no per-batch re-concatenation.
-* **object reference path** (:meth:`LookupServer.serve`): the original
-  per-request loop through a
-  :class:`~repro.serving.queue.MicroBatchQueue`.  Kept as the ground
-  truth the serving parity tests check the fast path against.
+Admission is columnar (:meth:`LookupServer.serve_arenas`): requests
+stay feature-major in :class:`~repro.serving.arena.RequestArena`
+chunks; release points (size cap / delay deadline) are computed over
+the arrival-time array at once, and each microbatch is an offset slice
+of the arena — no per-request objects, no per-batch re-concatenation.
+The serving parity tests check it against the original per-request
+loop, :func:`~repro.reference.serving.serve_objects`.
 
 Serving also closes the loop the paper opens in Section 3.5: feature
 statistics drift, so a plan optimal at deployment decays.  The server
@@ -67,11 +62,7 @@ from repro.serving.faults import FaultInjector, FaultSchedule
 from repro.serving.loadgen import PoissonArrivals, generate_request_arenas
 from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadControl, OverloadController
-from repro.serving.queue import (
-    LookupRequest,
-    MicroBatchQueue,
-    iter_microbatch_arenas,
-)
+from repro.serving.queue import iter_microbatch_arenas
 from repro.stats.profiler import TraceProfiler
 
 
@@ -111,6 +102,12 @@ class ServingConfig:
             raise ValueError("overhead_ms_per_batch must be >= 0")
         if self.drift_check_every_batches < 1:
             raise ValueError("drift_check_every_batches must be >= 1")
+        if self.drift_threshold_pct < 0:
+            raise ValueError("drift_threshold_pct must be >= 0")
+        if self.drift_min_samples < 0:
+            raise ValueError("drift_min_samples must be >= 0")
+        if not 0 < self.profile_sample_rate <= 1:
+            raise ValueError("profile_sample_rate must be in (0, 1]")
 
 
 class DriftMonitor:
@@ -194,8 +191,8 @@ class LookupServer:
 
     The server owns a simulated clock (milliseconds).  Requests are
     admitted through microbatching; each released batch runs on the
-    vectorized executor, busy-waiting behind the previous batch if the
-    engine is occupied (a single model-parallel replica).  Per-request
+    executor, busy-waiting behind the previous batch if the engine is
+    occupied (a single model-parallel replica).  Per-request
     latency is queueing wait plus execution time of its batch.
 
     Re-sharding: when built with a ``sharder`` (rather than a fixed
@@ -236,9 +233,6 @@ class LookupServer:
             ``plan`` that already is a
             :class:`~repro.core.replicate.ReplicatedPlan` is served
             as-is.
-        vectorized: executor mode; ``False`` serves on the per-lookup
-            scalar reference engine (the multi-tier serving bench's
-            baseline).
         chaos: optional :class:`~repro.serving.faults.FaultSchedule` of
             scripted device faults fired on the serving clock.  On a
             ``device_fail`` the server (1) masks the device out of the
@@ -262,6 +256,10 @@ class LookupServer:
             enabled) until the device recovers and latencies subside.
     """
 
+    #: executor class each plan install builds; the scalar serving
+    #: oracle substitutes the per-lookup reference engine here.
+    executor_type = ShardedExecutor
+
     def __init__(
         self,
         model: ModelSpec,
@@ -273,7 +271,6 @@ class LookupServer:
         cache: CacheModel | None = None,
         staging: TierStagingModel | None = None,
         replication: ReplicationPolicy | None = None,
-        vectorized: bool = True,
         chaos: FaultSchedule | None = None,
         emergency_commit_ms: float | None = None,
         overload: OverloadControl | None = None,
@@ -298,7 +295,6 @@ class LookupServer:
             if replication is not None
             else topology
         )
-        self.vectorized = bool(vectorized)
         self.sharder = sharder
         sharder_params = (
             inspect.signature(sharder.shard).parameters
@@ -306,13 +302,10 @@ class LookupServer:
             else {}
         )
         self._sharder_warm_starts = "warm_start" in sharder_params
-        # Vectorized sharders accept a planner workspace; the server
-        # owns one and refreshes it in place per replan, so consecutive
-        # replans never rebuild the stacked statistics buffers.
-        self._sharder_takes_workspace = (
-            "workspace" in sharder_params
-            and getattr(sharder, "vectorized", False)
-        )
+        # Workspace sharders get the server's planner workspace, which
+        # is refreshed in place per replan, so consecutive replans never
+        # rebuild the stacked statistics buffers.
+        self._sharder_takes_workspace = "workspace" in sharder_params
         self._workspace: PlannerWorkspace | None = None
         self.overload = overload
         self._ovl = (
@@ -345,11 +338,7 @@ class LookupServer:
         self._initial_install = (self.plan, self.profile)
 
     def _new_stream(self) -> None:
-        """Fresh per-stream state: admission queue, metrics, clock."""
-        self.queue = MicroBatchQueue(
-            max_batch_size=self.config.max_batch_size,
-            max_delay_ms=self.config.max_delay_ms,
-        )
+        """Fresh per-stream state: metrics, clock."""
         self.metrics = ServingMetrics(
             num_devices=self.topology.num_devices,
             tier_names=self.topology.tier_names,
@@ -411,10 +400,9 @@ class LookupServer:
         self.plan = plan
         self.profile = profile
         ranker = RankRemapper(profile)
-        self.executor = ShardedExecutor(
+        self.executor = self.executor_type(
             self.model, plan, profile, self.topology,
-            cache=self.cache, staging=self.staging,
-            vectorized=self.vectorized, ranker=ranker,
+            cache=self.cache, staging=self.staging, ranker=ranker,
         )
         if prior is not None:
             # Device fault state outlives a plan swap: an emergency
@@ -454,7 +442,7 @@ class LookupServer:
     def reset_serving_state(self, rearm_chaos: bool = False) -> None:
         """Start an independent run on the same installed plan.
 
-        Fresh metrics, admission queue, simulated clock, replica routing
+        Fresh metrics, simulated clock, replica routing
         history, drift monitor and profiler — everything a *stream*
         accumulates, nothing a *plan* owns.  Lets one server (or one
         multi-process pool, which delegates here) serve several streams
@@ -487,54 +475,7 @@ class LookupServer:
         self.executor.reset_brownout()
 
     # ------------------------------------------------------------------
-    # Reference event loop (per-request object path)
-    # ------------------------------------------------------------------
-    def serve(
-        self,
-        requests: Iterable[LookupRequest],
-        on_replan: Callable[[float], None] | None = None,
-    ) -> ServingMetrics:
-        """Run the object-path event loop over a request stream.
-
-        Args:
-            requests: requests in non-decreasing ``arrival_ms`` order
-                (e.g. from :func:`synthetic_request_stream`).
-            on_replan: optional callback invoked with the simulated time
-                of every drift-triggered replan.
-
-        Returns:
-            The accumulated :class:`~repro.serving.metrics.ServingMetrics`.
-        """
-        for request in requests:
-            now = request.arrival_ms
-            # Flush any batch whose delay budget expires before this arrival.
-            while len(self.queue) and self.queue.deadline_ms() <= now:
-                self._process(self.queue.deadline_ms(), on_replan)
-            self.queue.submit(request)
-            if self.queue.ready(now):
-                self._process(now, on_replan)
-        # Stream over, clock keeps running: leftover requests wait out
-        # their delay budget in case of batchmates, then release.
-        while len(self.queue):
-            self._process(self.queue.deadline_ms(), on_replan)
-        return self.metrics
-
-    def _process(
-        self, trigger_ms: float, on_replan: Callable[[float], None] | None = None
-    ) -> None:
-        """Release one microbatch from the queue and account it."""
-        arena = RequestArena.from_requests(self.queue.pop_batch())
-        if self._ovl is not None:
-            arena = self.admit_arena(arena, trigger_ms)
-            if arena is None:
-                return
-        self._execute(
-            arena.batch, trigger_ms, arena.arrival_ms, on_replan,
-            deadlines_ms=arena.deadline_ms, priorities=arena.priority,
-        )
-
-    # ------------------------------------------------------------------
-    # Columnar fast path (vectorized admission over request arenas)
+    # Columnar event loop (admission over request arenas)
     # ------------------------------------------------------------------
     def serve_arenas(
         self,
@@ -545,17 +486,18 @@ class LookupServer:
 
         Batch formation is the shared
         :func:`~repro.serving.queue.iter_microbatch_arenas` admission
-        pass (release points computed vectorized on the arrival arrays;
-        each released batch an offset slice of the arena), also used by
-        the multi-process front-end — so the two runtimes release
-        identical microbatches.  Produces metrics bit-identical to
-        :meth:`serve` on the same request content (the parity the
-        serving tests pin down).
+        pass (release points computed on the arrival arrays; each
+        released batch an offset slice of the arena), also used by the
+        multi-process front-end — so the two runtimes release identical
+        microbatches.  Produces metrics bit-identical to the object
+        loop :func:`~repro.reference.serving.serve_objects` on the same
+        request content (the parity the serving tests pin down).
 
         Args:
             arenas: columnar request chunks in arrival order (e.g. from
                 :func:`synthetic_request_arenas`).
-            on_replan: optional callback, as in :meth:`serve`.
+            on_replan: optional callback invoked with the simulated time
+                of every drift-triggered replan.
         """
         for arena, trigger in iter_microbatch_arenas(
             arenas, self.config.max_batch_size, self.config.max_delay_ms
@@ -877,8 +819,7 @@ def synthetic_request_arenas(
 
     Shorthand for :func:`~repro.serving.loadgen.generate_request_arenas`
     with ``PoissonArrivals(qps)``; every other argument is passed
-    through.  The per-request view of the same stream is
-    :func:`synthetic_request_stream`.
+    through.
     """
     yield from generate_request_arenas(
         model, num_requests, PoissonArrivals(qps),
@@ -887,36 +828,3 @@ def synthetic_request_arenas(
         drift=drift, months_per_request=months_per_request,
     )
 
-
-def synthetic_request_stream(
-    model: ModelSpec,
-    num_requests: int,
-    qps: float,
-    seed: int = 0,
-    start_ms: float = 0.0,
-    drift: DriftModel | None = None,
-    months_per_request: float = 0.0,
-    chunk_size: int = 512,
-    deadline_ms: float | None = None,
-    priority_shares: tuple[float, ...] | None = None,
-) -> Iterator[LookupRequest]:
-    """Per-request object view of :func:`synthetic_request_arenas`.
-
-    Yields :class:`~repro.serving.queue.LookupRequest` objects whose
-    feature arrays are zero-copy views into arena chunks — the object
-    API the reference serving path and external callers consume,
-    identical in content to the columnar stream for a given seed.
-    """
-    for arena in synthetic_request_arenas(
-        model,
-        num_requests,
-        qps,
-        seed=seed,
-        start_ms=start_ms,
-        drift=drift,
-        months_per_request=months_per_request,
-        chunk_size=chunk_size,
-        deadline_ms=deadline_ms,
-        priority_shares=priority_shares,
-    ):
-        yield from arena

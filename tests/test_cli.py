@@ -326,6 +326,32 @@ class TestCommands:
         assert summary["requests"] == 600
         assert "p99_ms" in summary and "goodput" in summary
 
+    def test_serve_reference_matches_default(self, capsys, tmp_path):
+        """--reference (object loop) and the default columnar loop
+        report identical summaries, drift replans included."""
+        import json
+
+        wall_keys = ("replan_build_total_ms", "time_to_replan_ms")
+        summaries = []
+        for path_flag in ("--fast", "--reference"):
+            path = tmp_path / f"{path_flag.strip('-')}.json"
+            argv = [
+                "serve", "--model", "rm2", "--milp-time", "0",
+                "--qps", "20000", "--requests", "1200",
+                "--batch-requests", "64", "--drift-months", "20",
+                "--drift-threshold", "2", "--drift-min-samples", "128",
+                path_flag, "--report-json", str(path),
+            ] + self.COMMON
+            assert main(argv) == 0
+            summary = json.loads(path.read_text())
+            for key in wall_keys:
+                summary.pop(key, None)
+            summaries.append(summary)
+        capsys.readouterr()
+        fast, reference = summaries
+        assert fast["replans"] >= 1
+        assert fast == reference
+
     def test_serve_workers_with_qos(self, capsys):
         argv = [
             "serve", "--model", "rm2", "--milp-time", "0",
@@ -390,6 +416,19 @@ class TestServeValidation:
     def test_rejects_nonpositive_serve_knobs(self, flag, value, capsys):
         code, err = self.run([flag, value], capsys)
         assert code == 2 and flag in err
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--drift-threshold", "-5", "drift_threshold_pct"),
+            ("--drift-min-samples", "-3", "drift_min_samples"),
+        ],
+    )
+    def test_rejects_negative_drift_settings(self, flag, value, field, capsys):
+        code, err = self.run(
+            ["--milp-time", "0", "--drift-months", "0.5", flag, value], capsys
+        )
+        assert code == 2 and f"error: {field}" in err
 
     def test_rejects_brownout_without_slo(self, capsys):
         code, err = self.run(["--brownout"], capsys)

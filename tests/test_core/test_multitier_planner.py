@@ -13,6 +13,7 @@ import pytest
 from repro.core import MultiTierSharder, PlannerWorkspace, shard_sweep
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.planner import ScalarMultiTierSharder
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -48,8 +49,8 @@ class TestVectorizedGreedyParity:
         vec = MultiTierSharder(batch_size=256, steps=15).shard(
             model, profile, topology
         )
-        sca = MultiTierSharder(
-            batch_size=256, steps=15, vectorized=False
+        sca = ScalarMultiTierSharder(
+            batch_size=256, steps=15
         ).shard(model, profile, topology)
         assert_plans_equal(vec, sca)
 
@@ -63,8 +64,8 @@ class TestVectorizedGreedyParity:
         warm_v = MultiTierSharder(batch_size=256, steps=15).shard(
             model, profile, topology, warm_start=cold
         )
-        warm_s = MultiTierSharder(
-            batch_size=256, steps=15, vectorized=False
+        warm_s = ScalarMultiTierSharder(
+            batch_size=256, steps=15
         ).shard(model, profile, topology, warm_start=cold)
         assert_plans_equal(warm_v, warm_s)
         assert warm_v.metadata["warm_started"]

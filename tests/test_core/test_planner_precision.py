@@ -20,6 +20,7 @@ from repro.core import (
 from repro.memory.precision import quantized_row_bytes
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.planner import ScalarFastSharder, ScalarMultiTierSharder
 from repro.stats import analytic_profile
 
 from .conftest import build_model
@@ -76,8 +77,8 @@ class TestFastSharderPrecision:
         model = build_model(num_tables=8, seed=seed)
         profile = analytic_profile(model)
         topology = two_tier(model).with_precisions(spec)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         plan_scalar = scalar.shard(model, profile, topology)
         plan_fast = fast.shard(model, profile, topology)
         assert_plans_identical(plan_scalar, plan_fast)
@@ -136,8 +137,8 @@ class TestMultiTierPrecision:
         vec = MultiTierSharder(batch_size=BATCH, steps=15).shard(
             model, profile, topology
         )
-        scalar = MultiTierSharder(
-            batch_size=BATCH, steps=15, vectorized=False
+        scalar = ScalarMultiTierSharder(
+            batch_size=BATCH, steps=15
         ).shard(model, profile, topology)
         assert_plans_identical(vec, scalar)
         vec.validate(model, topology)

@@ -23,6 +23,7 @@ from repro.core import (
 from repro.baselines import make_baseline
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.planner import ScalarFastSharder
 from repro.stats import analytic_profile
 from repro.stats.profiler import TraceProfiler
 from repro.data.synthetic import TraceGenerator
@@ -71,8 +72,8 @@ class TestSharderParity:
         )
         profile = analytic_profile(model)
         topology = random_two_tier(model, rng)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         plan_scalar = scalar.shard(model, profile, topology)
         plan_fast = fast.shard(model, profile, topology)
         assert_plans_identical(plan_scalar, plan_fast)
@@ -87,8 +88,8 @@ class TestSharderParity:
         rng = np.random.default_rng(100 + seed)
         model = build_model(num_tables=8, rows=500, seed=seed)
         topology = random_two_tier(model, rng)
-        scalar = RecShardFastSharder(batch_size=BATCH, vectorized=False)
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True)
+        scalar = ScalarFastSharder(batch_size=BATCH)
+        fast = RecShardFastSharder(batch_size=BATCH)
         profile = analytic_profile(model)
         plan_scalar = scalar.shard(model, profile, topology)
         workspace = PlannerWorkspace(model, profile, steps=fast.steps)
@@ -120,10 +121,10 @@ class TestSharderParity:
     )
     def test_flag_variants_identical(self, flags, small_model, tight_topology):
         profile = analytic_profile(small_model)
-        scalar = RecShardFastSharder(
-            batch_size=BATCH, vectorized=False, **flags
+        scalar = ScalarFastSharder(
+            batch_size=BATCH, **flags
         )
-        fast = RecShardFastSharder(batch_size=BATCH, vectorized=True, **flags)
+        fast = RecShardFastSharder(batch_size=BATCH, **flags)
         assert_plans_identical(
             scalar.shard(small_model, profile, tight_topology),
             fast.shard(small_model, profile, tight_topology),

@@ -17,6 +17,7 @@ import pytest
 
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor, least_loaded_counts
+from repro.reference.engine import ScalarShardedExecutor
 from tests.test_engine.test_replication_exec import build_world
 
 
@@ -62,7 +63,7 @@ def test_masked_routing_parity_random_fail_sets(tiers, seed):
     model, profile, topology, plan = build_world(seed, tiers=tiers)
     rng = np.random.default_rng(seed + 100)
     vectorized = ShardedExecutor(model, plan, profile, topology)
-    scalar = ShardedExecutor(model, plan, profile, topology, vectorized=False)
+    scalar = ScalarShardedExecutor(model, plan, profile, topology)
     rerouted = 0
     for batch in TraceGenerator(model, 64, seed=seed + 7).batches(6):
         num_dead = int(rng.integers(0, topology.num_devices))  # never all

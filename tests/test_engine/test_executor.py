@@ -7,6 +7,7 @@ from repro.core import RecShardFastSharder
 from repro.core.plan import ShardingPlan, TablePlacement
 from repro.data.synthetic import TraceGenerator
 from repro.engine import ShardedExecutor
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -48,13 +49,14 @@ class TestShardedExecutor:
         gen = TraceGenerator(model, batch_size=BATCH, seed=6)
         batch = gen.next_batch()
         times, accesses, _, _ = executor.run_batch(batch)
+        oracle = ScalarShardedExecutor(model, plan, profile, topology)
         # Recompute manually per device.
         for device in range(topology.num_devices):
             expected = 0.0
             for j, feature in enumerate(batch):
                 if plan[j].device != device or feature.values.size == 0:
                     continue
-                counts = executor.remap_tables[j].tier_counts(feature.values)
+                counts = oracle.remap_tables[j].tier_counts(feature.values)
                 row_bytes = model.tables[j].row_bytes
                 expected += counts[0] * row_bytes / topology.hbm.bandwidth
                 expected += counts[1] * row_bytes / topology.uvm.bandwidth

@@ -24,6 +24,7 @@ from repro.engine import (
 )
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -71,8 +72,8 @@ class TestMultiTierParity:
         batch_size = 64
         model, profile, topology, plan = build_world(num_tiers, seed, batch_size)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarShardedExecutor(
+            model, plan, profile, topology
         )
         touched = np.zeros(num_tiers, dtype=np.int64)
         for batch in TraceGenerator(model, batch_size, seed=seed + 100).batches(3):
@@ -86,8 +87,8 @@ class TestMultiTierParity:
     def test_batch_size_sweep(self, batch_size):
         model, profile, topology, plan = build_world(3, 5, batch_size)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarShardedExecutor(
+            model, plan, profile, topology
         )
         for batch in TraceGenerator(model, batch_size, seed=77).batches(2):
             assert_exact_parity(vectorized, scalar, batch)
@@ -101,8 +102,8 @@ class TestMultiTierParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, staging=staging
         )
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, staging=staging, vectorized=False
+        scalar = ScalarShardedExecutor(
+            model, plan, profile, topology, staging=staging
         )
         plain = ShardedExecutor(model, plan, profile, topology)
         staged_time = plain_time = 0.0
@@ -128,9 +129,8 @@ class TestMultiTierParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging,
-            vectorized=False,
         )
         for batch in TraceGenerator(model, 64, seed=11).batches(3):
             assert_exact_parity(vectorized, scalar, batch)
@@ -144,9 +144,8 @@ class TestMultiTierParity:
         executor = ShardedExecutor(
             model, plan, profile, topology, staging=only_mid
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarShardedExecutor(
             model, plan, profile, topology, staging=only_mid,
-            vectorized=False,
         )
         got_mid = False
         for batch in TraceGenerator(model, 64, seed=12).batches(2):

@@ -29,6 +29,7 @@ from repro.engine import (
 )
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -112,8 +113,8 @@ class TestReplicatedExecutionParity:
     def test_scalar_vectorized_bit_parity(self, tiers, seed):
         model, profile, topology, plan = build_world(seed, tiers=tiers)
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarShardedExecutor(
+            model, plan, profile, topology
         )
         routed_total = 0
         for batch in TraceGenerator(model, 64, seed=seed + 50).batches(3):
@@ -140,9 +141,8 @@ class TestReplicatedExecutionParity:
         vectorized = ShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging
         )
-        scalar = ShardedExecutor(
+        scalar = ScalarShardedExecutor(
             model, plan, profile, topology, cache=cache, staging=staging,
-            vectorized=False,
         )
         for batch in TraceGenerator(model, 64, seed=99).batches(3):
             tv, av, hv, rv = vectorized.run_batch(batch)

@@ -28,6 +28,7 @@ from repro.engine import (
     replay_trace,
 )
 from repro.memory.topology import SystemTopology
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -93,7 +94,7 @@ class TestStrategyExecution:
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarShardedExecutor(model, sp, profile, topology)
         for batch in _batches(model):
             ft, fa, fh, fr = fast.run_batch(batch)
             st, sa, sh, sr = slow.run_batch(batch)
@@ -146,7 +147,7 @@ class TestStrategyExecution:
         model, profile, topology, plan = strategy_world
         sp = _mixed_plan(model, plan, topology.num_devices)
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarShardedExecutor(model, sp, profile, topology)
         for batch in _batches(model, n=2):
             fc, fh, fr, fcuts = fast.classify_batch(batch)
             sc, sh, sr, scuts = slow.classify_batch(batch)
@@ -234,7 +235,7 @@ class TestStrategyScoping:
         )
         sp = StrategyPlan(plan, tuple(strategies))
         fast = ShardedExecutor(model, sp, profile, topology)
-        slow = ShardedExecutor(model, sp, profile, topology, vectorized=False)
+        slow = ScalarShardedExecutor(model, sp, profile, topology)
         fast.set_brownout(True)
         slow.set_brownout(True)
         for batch in _batches(model, n=2):

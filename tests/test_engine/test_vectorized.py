@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.engine import ScalarShardedExecutor
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
 
@@ -45,10 +46,10 @@ def world():
 def _pair(world, cache=None):
     model, profile, topology, plan = world
     vectorized = ShardedExecutor(
-        model, plan, profile, topology, cache=cache, vectorized=True
+        model, plan, profile, topology, cache=cache
     )
-    scalar = ShardedExecutor(
-        model, plan, profile, topology, cache=cache, vectorized=False
+    scalar = ScalarShardedExecutor(
+        model, plan, profile, topology, cache=cache
     )
     return vectorized, scalar
 
@@ -95,8 +96,8 @@ class TestVectorizedParity:
             model, profile, topology
         )
         vectorized = ShardedExecutor(model, plan, profile, topology)
-        scalar = ShardedExecutor(
-            model, plan, profile, topology, vectorized=False
+        scalar = ScalarShardedExecutor(
+            model, plan, profile, topology
         )
         gen = TraceGenerator(model, batch_size=BATCH, seed=34)
         for batch in gen.batches(2):

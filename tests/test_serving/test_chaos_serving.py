@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.data.model import rm2
 from repro.memory import node_from_tier_names, paper_node, paper_scales
+from repro.reference.serving import ScalarLookupServer, serve_objects
 from repro.serving import (
     FaultSchedule,
     LookupServer,
@@ -56,12 +57,14 @@ def three_tier_world():
     return model, profile, topology
 
 
-def replicated_server(chaos=None, with_sharder=True, **kwargs):
+def replicated_server(
+    chaos=None, with_sharder=True, server_type=LookupServer, **kwargs
+):
     model, profile, topology = three_tier_world()
     policy = ReplicationPolicy(capacity_bytes=int(GIB * TOPO_SCALE))
     sharder = MultiTierSharder(batch_size=256)
     if with_sharder:
-        server = LookupServer(
+        server = server_type(
             model, profile, topology, sharder=sharder, config=CONFIG,
             replication=policy, chaos=chaos, **kwargs,
         )
@@ -69,7 +72,7 @@ def replicated_server(chaos=None, with_sharder=True, **kwargs):
         plan = plan_with_replication(
             sharder, model, profile, topology, policy
         )
-        server = LookupServer(
+        server = server_type(
             model, profile, topology, plan=plan, config=CONFIG,
             chaos=chaos, **kwargs,
         )
@@ -204,7 +207,8 @@ def test_scalar_vectorized_parity_under_chaos():
     # only defined on the simulated clock.
     model, fast = replicated_server(chaos=drill(), emergency_commit_ms=2.0)
     model, slow = replicated_server(
-        chaos=drill(), emergency_commit_ms=2.0, vectorized=False
+        chaos=drill(), emergency_commit_ms=2.0,
+        server_type=ScalarLookupServer,
     )
     left = fast.serve_arenas(stream(model))
     right = slow.serve_arenas(stream(model))
@@ -226,8 +230,9 @@ def test_object_api_matches_arena_api_under_chaos():
     model, object_server = replicated_server(
         chaos=drill(), emergency_commit_ms=2.0
     )
-    object_metrics = object_server.serve(
-        request for arena in arenas for request in arena
+    object_metrics = serve_objects(
+        object_server,
+        (request for arena in arenas for request in arena),
     )
     assert arena_metrics.summary(
         deterministic_only=True

@@ -15,13 +15,13 @@ import pytest
 from repro.core import RecShardFastSharder
 from repro.data.drift import DriftModel
 from repro.memory.topology import SystemTopology
+from repro.reference.serving import serve_objects, synthetic_request_stream
 from repro.serving import (
     LookupServer,
     RequestArena,
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -128,7 +128,8 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=500, qps=40000, seed=11)
-        ref = make_server(world, plan=plan).serve(
+        ref = serve_objects(
+            make_server(world, plan=plan),
             synthetic_request_stream(model, **kwargs)
         )
         fast = make_server(world, plan=plan).serve_arenas(
@@ -151,7 +152,8 @@ class TestServeParity:
             months_per_request=0.05,
         )
         ref_replans, fast_replans = [], []
-        ref = make_server(world, **config).serve(
+        ref = serve_objects(
+            make_server(world, **config),
             synthetic_request_stream(model, **kwargs),
             on_replan=ref_replans.append,
         )
@@ -176,7 +178,8 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=211, qps=60000, seed=17)
-        ref = make_server(world, plan=plan, max_batch_size=13).serve(
+        ref = serve_objects(
+            make_server(world, plan=plan, max_batch_size=13),
             synthetic_request_stream(model, **kwargs, chunk_size=7)
         )
         fast = make_server(world, plan=plan, max_batch_size=13).serve_arenas(
@@ -192,7 +195,8 @@ class TestServeParity:
             model, profile, topology
         )
         kwargs = dict(num_requests=40, qps=5000, seed=2)
-        ref = make_server(world, plan=plan, max_delay_ms=0.0).serve(
+        ref = serve_objects(
+            make_server(world, plan=plan, max_delay_ms=0.0),
             synthetic_request_stream(model, **kwargs)
         )
         fast = make_server(world, plan=plan, max_delay_ms=0.0).serve_arenas(

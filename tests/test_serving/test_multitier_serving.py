@@ -17,12 +17,16 @@ from repro.data.drift import DriftModel
 from repro.engine import ShardedExecutor, TierStagingModel
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
+from repro.reference.serving import (
+    ScalarLookupServer,
+    serve_objects,
+    synthetic_request_stream,
+)
 from repro.serving import (
     LookupServer,
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -46,16 +50,16 @@ def world():
     return model, profile, topology
 
 
-def make_server(world, staging=None, vectorized=True, **config_kwargs):
+def make_server(world, staging=None, server_type=LookupServer,
+                **config_kwargs):
     model, profile, topology = world
     kwargs = dict(max_batch_size=16, max_delay_ms=1.0)
     kwargs.update(config_kwargs)
-    return LookupServer(
+    return server_type(
         model, profile, topology,
         sharder=MultiTierSharder(batch_size=BATCH, steps=20),
         config=ServingConfig(**kwargs),
         staging=staging,
-        vectorized=vectorized,
     )
 
 
@@ -111,9 +115,11 @@ class TestMultiTierEndToEnd:
             synthetic_request_arenas(world[0], **kwargs)
         )
         ref = make_server(
-            world, staging=staging, vectorized=False, **config
+            world, staging=staging, server_type=ScalarLookupServer,
+            **config
         )
-        ref_metrics = ref.serve(
+        ref_metrics = serve_objects(
+            ref,
             synthetic_request_stream(world[0], **kwargs)
         )
         assert fast_metrics.num_replans >= 1

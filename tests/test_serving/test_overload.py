@@ -19,6 +19,7 @@ import pytest
 from repro.core import MultiTierSharder, RecShardFastSharder
 from repro.data.model import rm2, rm3
 from repro.memory import node_from_tier_names, paper_node, paper_scales
+from repro.reference.serving import serve_objects
 from repro.serving import (
     BurstyArrivals,
     LookupRequest,
@@ -619,7 +620,7 @@ class TestSingleProcessOverload:
             deadline_ms=0.35, shares=(0.4, 0.6),
         )
         ref = columnar.serve_arenas(arenas)
-        got = objects.serve(r for arena in arenas for r in arena)
+        got = serve_objects(objects, (r for arena in arenas for r in arena))
         assert ref.shed_requests > 0
         assert ref.summary(deterministic_only=True) == got.summary(
             deterministic_only=True

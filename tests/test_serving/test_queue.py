@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.reference.serving import MicroBatchQueue
 from repro.serving import (
     LookupRequest,
-    MicroBatchQueue,
     RequestArena,
     coalesce_requests,
     iter_microbatch_arenas,

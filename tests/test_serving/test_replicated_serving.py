@@ -21,6 +21,7 @@ from repro.core import (
 from repro.data.drift import DriftModel
 from repro.data.model import rm2, rm3
 from repro.memory import node_from_tier_names, paper_node, paper_scales
+from repro.reference.serving import ScalarLookupServer, serve_objects
 from repro.serving import (
     LookupServer,
     ServingConfig,
@@ -74,16 +75,16 @@ def test_fast_and_reference_paths_bit_identical(world_builder, sharder_cls):
     arenas = arenas_for(model, seed=31)
 
     def serve(vectorized):
-        server = LookupServer(
+        server_type = LookupServer if vectorized else ScalarLookupServer
+        server = server_type(
             model, profile, topology,
             sharder=sharder_cls(batch_size=256),
             config=ServingConfig(max_batch_size=128, max_delay_ms=2.0),
             replication=policy(),
-            vectorized=vectorized,
         )
         if vectorized:
             return server, server.serve_arenas(arenas)
-        return server, server.serve(r for a in arenas for r in a)
+        return server, serve_objects(server, (r for a in arenas for r in a))
 
     fast_server, fast = serve(True)
     _, reference = serve(False)

@@ -9,13 +9,13 @@ from repro.data.model import rm2
 from repro.data.synthetic import TraceGenerator
 from repro.memory import paper_node, paper_scales
 from repro.memory.topology import SystemTopology
+from repro.reference.serving import serve_objects, synthetic_request_stream
 from repro.serving import (
     DriftMonitor,
     LookupServer,
     ServingConfig,
     ServingMetrics,
     synthetic_request_arenas,
-    synthetic_request_stream,
 )
 from repro.stats import analytic_profile
 from tests.test_core.conftest import build_model
@@ -75,7 +75,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
+        metrics = serve_objects(
+            server,
             synthetic_request_stream(model, num_requests=300, qps=50000, seed=9)
         )
         assert metrics.num_requests == 300
@@ -91,7 +92,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=100, max_delay_ms=3.0),
         )
-        metrics = server.serve(
+        metrics = serve_objects(
+            server,
             synthetic_request_stream(model, num_requests=1, qps=1000, seed=2)
         )
         assert metrics.num_requests == 1
@@ -109,7 +111,8 @@ class TestLookupServer:
                 drift_threshold_pct=0.0, drift_min_samples=1,
             ),
         )
-        metrics = server.serve(
+        metrics = serve_objects(
+            server,
             synthetic_request_stream(model, num_requests=200, qps=50000, seed=4)
         )
         assert metrics.num_replans == 0
@@ -132,7 +135,7 @@ class TestLookupServer:
             drift=DriftModel(feature_noise=6.0),
             months_per_request=0.05,
         )
-        metrics = server.serve(stream, on_replan=replan_times.append)
+        metrics = serve_objects(server, stream, on_replan=replan_times.append)
         assert metrics.num_requests == 600
         assert metrics.num_replans >= 1
         assert replan_times == metrics.replan_ms
@@ -144,7 +147,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
+        metrics = serve_objects(
+            server,
             synthetic_request_stream(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
@@ -159,7 +163,8 @@ class TestLookupServer:
             sharder=RecShardFastSharder(batch_size=BATCH),
             config=ServingConfig(max_batch_size=16, max_delay_ms=1.0),
         )
-        metrics = server.serve(
+        metrics = serve_objects(
+            server,
             synthetic_request_stream(model, num_requests=100, qps=50000, seed=9)
         )
         summary = metrics.summary()
@@ -178,6 +183,30 @@ class TestLookupServer:
                 model, profile, topology, plan=plan,
                 sharder=RecShardFastSharder(batch_size=BATCH),
             )
+
+
+class TestServingConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("drift_threshold_pct", -1.0),
+            ("drift_min_samples", -3),
+            ("profile_sample_rate", 0.0),
+            ("profile_sample_rate", -0.5),
+            ("profile_sample_rate", 5.0),
+        ],
+    )
+    def test_rejects_invalid_drift_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServingConfig(**{field: value})
+
+    def test_accepts_drift_setting_boundaries(self):
+        config = ServingConfig(
+            drift_threshold_pct=0.0, drift_min_samples=0,
+            profile_sample_rate=1.0,
+        )
+        assert config.drift_threshold_pct == 0.0
+        assert ServingConfig(profile_sample_rate=0.01).profile_sample_rate == 0.01
 
 
 class TestResetServingState:
