@@ -25,7 +25,9 @@ Three gates:
   offloads it).
 
 Headline numbers land machine-readable in
-``reports/BENCH_replication.json``.
+``reports/BENCH_replication.json`` (load balance) and
+``reports/BENCH_replication_parity.json`` (routing speedup over the
+per-lookup reference, tracked by ``scripts/check_bench_trajectory.py``).
 """
 
 import os
@@ -178,18 +180,25 @@ def test_replica_routing_parity(world):
     # Closed-form routing replaces a per-lookup Python loop; on the
     # skewed stream (hundreds of replicated lookups per microbatch) it
     # must at least break even.
-    assert speedup >= 1.0, f"vectorized routing slower: {speedup:.2f}x"
-    world_report = {
-        "routing_speedup": speedup,
-        "replica_hits": int(fast_metrics.replica_access_totals.sum()),
-    }
+    replica_hits = int(fast_metrics.replica_access_totals.sum())
     report(
         "replication_parity",
         f"{model.name} skewed stream, {REQUESTS} requests: scalar vs "
         f"vectorized replica routing bit-identical; fast path "
         f"{speedup:.2f}x the per-lookup reference, "
-        f"{world_report['replica_hits']} lookups routed",
+        f"{replica_hits} lookups routed",
     )
+    report_json(
+        "replication_parity",
+        {
+            "requests": REQUESTS,
+            "replica_hits": replica_hits,
+            "speedup": speedup,
+            "speedup_floor": 1.0,
+            "parity": "bit-identical",
+        },
+    )
+    assert speedup >= 1.0, f"vectorized routing slower: {speedup:.2f}x"
 
 
 def test_replication_balances_load_without_qps_regression(world):

@@ -51,8 +51,11 @@ lowest device id; the counters see each batch's home-lane bytes before
 its replicated lookups, in trace order).  The executor computes each
 feature's routed counts in closed form (:func:`least_loaded_counts` —
 the greedy sequence is the ``n`` smallest pops across per-device
-arithmetic progressions); the scalar oracle assigns lookup by lookup,
-and both produce bit-identical metrics.
+arithmetic progressions, and splitting each counter into a quotient
+and residue of the item weight locates the ``n``-th pop exactly with
+O(D log D) integer work on at most ``D`` devices); the counters stay a
+Python list across a batch's features.  The scalar oracle assigns
+lookup by lookup, and both produce bit-identical metrics.
 Routed accesses are counted on the *serving* device's fastest tier, so
 the per-device access totals (``RunMetrics.load_imbalance``) show the
 balancing effect directly.
@@ -938,41 +941,48 @@ class ShardedExecutor:
         Features are processed in trace (table) order; within a feature
         every lookup weighs the table's ``row_bytes``, so
         :meth:`_take_replicas` assigns the feature's lookups at once.
+        The running byte counters live in a Python list for the whole
+        batch (a feature routes over at most ``num_devices`` entries,
+        too few for numpy calls to pay off) and are written back once.
         Failed devices are masked out of the lane.
         """
-        num_devices = self.topology.num_devices
         alive = self._device_alive
-        alive_idx = None if alive.all() else np.flatnonzero(alive)
-        acc = np.zeros(num_devices, dtype=np.int64)
-        routed_bytes = np.zeros(num_devices, dtype=np.int64)
-        for j in np.flatnonzero(replicas):
-            w = int(self._row_bytes_int[j])
-            taken = self._take_replicas(int(replicas[j]), w, alive_idx)
-            acc += taken
-            routed_bytes += taken * w
+        survivors = None if alive.all() else np.flatnonzero(alive).tolist()
+        before = self._replica_load
+        load = before.tolist()
+        widths = self._row_bytes_int
+        taken = [
+            self._take_replicas(int(replicas[j]), int(widths[j]), load, survivors)
+            for j in np.flatnonzero(replicas).tolist()
+        ]
+        self._replica_load = np.array(load, dtype=np.int64)
+        acc = np.array(taken, dtype=np.int64).reshape(-1, before.size).sum(axis=0)
+        routed_bytes = self._replica_load - before
         return acc, routed_bytes.astype(np.float64)
 
     def _take_replicas(
-        self, n: int, w: int, alive_idx: np.ndarray | None
-    ) -> np.ndarray:
+        self, n: int, w: int, load: list[int], survivors: list[int] | None
+    ) -> list[int]:
         """Route ``n`` lookups of ``w`` bytes least-loaded; per-device counts.
 
         The greedy per-lookup assignment has the closed form
         :func:`least_loaded_counts`; the scalar oracle overrides this
         with the per-lookup argmin loop it summarizes.  With failed
-        devices (``alive_idx`` lists the survivors) the closed form runs
-        on the compacted surviving load vector and scatters back — the
-        ascending survivor order preserves the lowest-device-id tie
-        break.  Advances the running byte counters.
+        devices (``survivors`` lists the live ids, ascending) the closed
+        form runs on the compacted surviving loads and scatters back —
+        the ascending survivor order preserves the lowest-device-id tie
+        break.  Advances the running byte counters ``load`` in place.
         """
-        if alive_idx is None:
-            taken = least_loaded_counts(self._replica_load, n, w)
+        if survivors is None:
+            taken = _least_loaded(load, n, w)
         else:
-            taken = np.zeros(self.topology.num_devices, dtype=np.int64)
-            taken[alive_idx] = least_loaded_counts(
-                self._replica_load[alive_idx], n, w
-            )
-        self._replica_load += taken * w
+            taken = [0] * len(load)
+            compact = _least_loaded([load[d] for d in survivors], n, w)
+            for d, count in zip(survivors, compact):
+                taken[d] = count
+        for d, count in enumerate(taken):
+            if count:
+                load[d] += count * w
         return taken
 
     def run(self, batches) -> RunMetrics:
@@ -1041,9 +1051,15 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
     device id), updating the counter after each item.  The assignment
     sequence is exactly the ``n`` lexicographically smallest
     ``(value, device)`` pairs popped from the per-device arithmetic
-    progressions ``load[d] + m * w`` — so one integer binary search for
-    the value of the ``n``-th pop replaces the per-item loop, and the
-    result is bit-identical to the per-item argmin loop it replaces.
+    progressions ``load[d] + m * w``.  Writing ``load[d] = q[d] * w +
+    r[d]`` with ``0 <= r[d] < w``, every term of device ``d`` is
+    ``(Q, r[d])`` for a quotient ``Q >= q[d]``, so the ``n``-th pop sits
+    at the smallest quotient ``Q`` whose ``k`` active devices (those
+    with ``q[d] <= Q``) hold ``n`` terms — ``Q = ceil((n + sum q) / k)
+    - 1`` — and at quotient ``Q`` the remaining pops go to the active
+    devices in ``(r, device)`` order.  The result is bit-identical to
+    the per-item argmin loop, at O(D log D) integer work for ``D``
+    devices whatever ``n``.
 
     Args:
         load: current per-device byte counters (not modified).
@@ -1052,35 +1068,40 @@ def least_loaded_counts(load: np.ndarray, n: int, w: int) -> np.ndarray:
 
     Returns:
         (num_devices,) int64 item counts summing to ``n``.
+
+    Raises:
+        ValueError: ``w <= 0``, or ``n > 0`` items with no device.
     """
-    load = np.asarray(load, dtype=np.int64)
-    counts = np.zeros(load.size, dtype=np.int64)
-    if n <= 0:
-        return counts
     if w <= 0:
         raise ValueError(f"item weight must be positive, got {w}")
+    load = np.asarray(load, dtype=np.int64)
+    if n > 0 and load.size == 0:
+        raise ValueError(f"cannot assign {n} items to zero devices")
+    return np.array(_least_loaded(load.tolist(), n, w), dtype=np.int64)
 
-    def pops_below(value: int) -> int:
-        """How many progression terms are strictly below ``value``."""
-        return int(np.maximum(0, (value - load + w - 1) // w).sum())
 
-    lo = int(load.min())
-    hi = lo + n * w  # the n-th pop is at most lo + (n - 1) * w
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pops_below(mid + 1) >= n:
-            hi = mid
-        else:
-            lo = mid + 1
-    nth_value = lo
-    counts = np.maximum(0, (nth_value - load + w - 1) // w)
-    remaining = n - int(counts.sum())
-    if remaining > 0:
-        # Pops tied at the n-th value resolve by device id, lowest first.
-        tied = np.flatnonzero(
-            (nth_value >= load) & ((nth_value - load) % w == 0)
-        )
-        counts[tied[:remaining]] += 1
+def _least_loaded(load: list[int], n: int, w: int) -> list[int]:
+    """:func:`least_loaded_counts` on Python ints (no validation)."""
+    counts = [0] * len(load)
+    if n <= 0:
+        return counts
+    q = [x // w for x in load]
+    # Water-fill quotients: admit devices in ascending-quotient order
+    # until the next one's first term lies past the n-th pop.
+    order = sorted(range(len(load)), key=q.__getitem__)
+    total = 0
+    for k, d in enumerate(order, 1):
+        total += q[d]
+        top = -(-(n + total) // k) - 1
+        if k == len(order) or top < q[order[k]]:
+            break
+    active = order[:k]
+    for d in active:
+        counts[d] = top - q[d]
+    # Pops at quotient ``top`` (1..k of them) follow (residue, device).
+    at_top = n - (k * top - total)
+    for d in sorted(active, key=lambda d: (load[d] % w, d))[:at_top]:
+        counts[d] += 1
     return counts
 
 

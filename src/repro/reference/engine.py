@@ -100,20 +100,15 @@ class ScalarShardedExecutor(ShardedExecutor):
         return counts, hits, replicas, cuts
 
     def _take_replicas(
-        self, n: int, w: int, alive_idx: np.ndarray | None
-    ) -> np.ndarray:
+        self, n: int, w: int, load: list[int], survivors: list[int] | None
+    ) -> list[int]:
         """The per-lookup argmin loop :func:`least_loaded_counts`
         summarizes, over the surviving devices when some have failed."""
-        taken = np.zeros(self.topology.num_devices, dtype=np.int64)
-        load = self._replica_load
-        if alive_idx is not None:
-            for _ in range(n):
-                device = int(alive_idx[np.argmin(load[alive_idx])])
-                taken[device] += 1
-                load[device] += w
-        else:
-            for _ in range(n):
-                device = int(np.argmin(load))
-                taken[device] += 1
-                load[device] += w
+        taken = [0] * len(load)
+        candidates = range(len(load)) if survivors is None else survivors
+        for _ in range(n):
+            # ``min`` keeps the first minimum: the lowest device id.
+            device = min(candidates, key=load.__getitem__)
+            taken[device] += 1
+            load[device] += w
         return taken

@@ -231,6 +231,13 @@ class RequestArena:
         non-contiguous, so values are gathered (copied); ``base_id`` is
         rebased to the first kept request, after which ids within the
         sub-arena are no longer globally meaningful.
+
+        All features are gathered together from :attr:`offsets_mat`:
+        one column gather of the kept segments' starts and lengths, one
+        row-wise cumsum for the new offsets (which become the
+        sub-arena's :attr:`offsets_mat`), and one flat gather index
+        that each feature's values are sliced through.  The result
+        matches the per-feature ``JaggedBatch.take`` exactly.
         """
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != self.arrival_ms.shape:
@@ -240,13 +247,36 @@ class RequestArena:
             )
         indices = np.flatnonzero(keep)
         first = int(indices[0]) if indices.size else 0
-        return RequestArena(
-            self.batch.take(indices),
+        batch, offsets = JaggedBatch([]), None
+        if self.batch.features:
+            mat = self.offsets_mat
+            starts = mat[:, indices]
+            lengths = mat[:, indices + 1] - starts
+            offsets = np.zeros((mat.shape[0], indices.size + 1), dtype=np.int64)
+            np.cumsum(lengths, axis=1, out=offsets[:, 1:])
+            # Feature j's kept values are entries [cuts[j], cuts[j + 1])
+            # of one flat gather index of positions within its values.
+            bounds = np.concatenate(([0], np.cumsum(offsets[:, -1])))
+            shift = starts - offsets[:, :-1] - bounds[:-1, None]
+            gather = np.arange(bounds[-1]) + np.repeat(shift.ravel(), lengths.ravel())
+            cuts = bounds.tolist()
+            batch = JaggedBatch(
+                [
+                    JaggedFeature.from_validated(
+                        f.values[gather[cuts[j] : cuts[j + 1]]], offsets[j]
+                    )
+                    for j, f in enumerate(self.batch)
+                ]
+            )
+        sub = RequestArena(
+            batch,
             self.arrival_ms[indices],
             base_id=self.base_id + first,
             deadline_ms=self.deadline_ms[indices] if self.has_qos else None,
             priority=self.priority[indices] if self.has_qos else None,
         )
+        sub._offsets_mat = offsets
+        return sub
 
     # ------------------------------------------------------------------
     # Construction helpers
