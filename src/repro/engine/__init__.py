@@ -20,7 +20,7 @@ from repro.engine.executor import (
 )
 from repro.engine.lanes import Lane, LaneRegistry, build_lanes
 from repro.engine.metrics import IterationStats, RunMetrics
-from repro.engine.ranked import RankedBatch, RankedFeature, RankRemapper
+from repro.engine.ranked import RankRemapper
 from repro.engine.harness import (
     ExperimentResult,
     compare_strategies,
@@ -34,8 +34,6 @@ __all__ = [
     "Lane",
     "LaneRegistry",
     "RankRemapper",
-    "RankedBatch",
-    "RankedFeature",
     "RunMetrics",
     "ShardedExecutor",
     "TierStagingModel",

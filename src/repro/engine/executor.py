@@ -7,18 +7,26 @@ traffic divided by tier bandwidth — the paper's additive cost model (the
 summation property discussed under "Key Properties of RecShard's MILP":
 mixed HBM/UVM reads within a kernel serialize on current GPUs).
 
-Batches are first translated to frequency ranks by a
+Lookups are translated to frequency ranks through a
 :class:`~repro.engine.ranked.RankRemapper` (the Section 4.3 remapping
-transform, run once per trace and shared by every strategy); per-tier
+transform; one rank map per table, shared by every strategy); per-tier
 accounting then reduces to counting ranks below each plan's cumulative
-tier boundaries — a handful of SIMD threshold scans per table, with no
-per-lookup tier gather.  The device cache model likewise operates
-directly on the sorted-by-construction frequency ranking: a hit is
-simply ``rank < cached_rows``.  Any tier count works: per-tier counts
-are prefix differences of the rank array against the plan's cumulative
-tier boundaries, computed by per-feature threshold scans (pre-ranked
-batches and :func:`replay_trace`) or by linear passes over one flat
-rank buffer (the fused jagged path serving takes).
+tier boundaries, with no per-lookup tier gather.  The device cache
+model likewise operates directly on the sorted-by-construction
+frequency ranking: a hit is simply ``rank < cached_rows``.  Any tier
+count works: per-tier counts are prefix differences of the ranks
+against the plan's cumulative tier boundaries.
+
+One classifier computes those counts for serving and for replays
+(:meth:`ShardedExecutor.classify_batch`, :meth:`ShardedExecutor.run_batch`
+and :func:`replay_trace` all call it).  It gathers the ranks of
+consecutive small features into one reused block buffer, sized so the
+block's ranks, repeated edges and comparison mask stay in L2, and
+counts every lane over the block with one ``repeat``, one comparison
+and one segmented reduction; a feature with many lookups is a block of
+its own, compared against each lane's scalar edge.  Small microbatches
+therefore cost a handful of numpy calls, and large ones stay
+cache-resident per feature.
 
 The ground truth the parity tests check all of this against is
 :class:`~repro.reference.engine.ScalarShardedExecutor`, which resolves
@@ -64,11 +72,10 @@ All of these cutoffs — tier boundaries, cache, staging, replica, and
 the table-wise-row-wise strategy cuts — are *registered lanes* in a
 :class:`~repro.engine.lanes.LaneRegistry` built once per executor.
 Each lane is a per-table cumulative rank cutoff; classification is one
-prefix count per lane, computed by the fused path (three linear passes
-over the flat rank buffer) and by per-feature threshold scans.  Both
-feed the shared :meth:`ShardedExecutor._reduce_counts`, so a lane
-registered once gets every classification path, and the scalar
-oracle's bit-identical reference, for free.
+prefix count per lane, and the prefix counts feed the shared
+:meth:`ShardedExecutor._reduce_counts`, so a lane registered once gets
+the classifier, and the scalar oracle's bit-identical reference, for
+free.
 
 Per-table sharding strategies
 (:class:`~repro.core.strategies.StrategyPlan`) reuse the framework:
@@ -104,7 +111,7 @@ from repro.engine.cache import (
 )
 from repro.engine.lanes import LaneRegistry, build_lanes
 from repro.engine.metrics import RunMetrics
-from repro.engine.ranked import RankedBatch, RankRemapper
+from repro.engine.ranked import RankRemapper
 from repro.memory.topology import SystemTopology
 
 
@@ -198,16 +205,13 @@ class ShardedExecutor:
         )
         self.cache = cache
         self.staging = staging
-        # Reusable comparison mask for the rank threshold scans: avoids a
-        # fresh (page-faulting) bool temporary per table per batch.  Makes
-        # run_ranked non-reentrant, like the executor's other scratch state.
-        self._mask_scratch = np.empty(0, dtype=bool)
-        # Fused jagged-path scratch (the serving loop's per-batch hot
-        # path): a flat global-rank buffer reused across batches, and
-        # the per-lane base-shifted edge vectors it is compared against.
-        # Built lazily because both depend on the (possibly lazy) ranker.
-        self._flat_rank_scratch = np.empty(0, dtype=np.int64)
-        self._fused_edges: dict[str, np.ndarray] | None = None
+        # Classification scratch, reused across batches (which makes
+        # classification non-reentrant).
+        self._scratch = [
+            np.empty(0, dtype=np.int64),  # small-feature block ranks
+            np.empty(0, dtype=np.int64),  # one large feature's ranks
+            np.empty(0, dtype=bool),  # comparison mask
+        ]
         self._cache_threshold = np.zeros(model.num_tables, dtype=np.int64)
         if cache is not None:
             for device in range(topology.num_devices):
@@ -331,6 +335,16 @@ class ShardedExecutor:
             replica_cut=self._replica_cut if self._has_replicas else None,
             strategy_cuts=cut_points,
         )
+        # Every lane's per-table edges, (lanes, tables): int32 like the
+        # rank maps whenever they fit, so the block comparisons never
+        # promote (copy) the ranks, and per table as Python ints for
+        # the scalar comparisons of large features.
+        edges = np.zeros((len(self._lanes), model.num_tables), dtype=np.int64)
+        for row, lane in zip(edges, self._lanes):
+            row[:] = lane.edges
+        fits = edges.max(initial=0) <= np.iinfo(np.int32).max
+        self._edges = edges.astype(np.int32 if fits else np.int64)
+        self._lane_edge_rows: list[list[int]] = edges.T.tolist()
 
     # ------------------------------------------------------------------
     # Lazily-built helpers
@@ -342,17 +356,13 @@ class ShardedExecutor:
             self._ranker = RankRemapper(self.profile)
         return self._ranker
 
-    def prepare(self, batches) -> list[RankedBatch]:
-        """Translate a trace to rank space once, for repeated replay."""
-        return self.ranker.rank_trace(batches)
-
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
     def run_batch(
-        self, batch: JaggedBatch | RankedBatch
+        self, batch: JaggedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Execute one batch (jagged or pre-ranked).
+        """Execute one jagged batch: :meth:`classify_batch`, then reduce.
 
         Returns:
             times_ms: per-device EMB time for this iteration (ms).
@@ -367,9 +377,7 @@ class ShardedExecutor:
                 replica lane on each device (all zeros without a
                 :class:`~repro.core.replicate.ReplicatedPlan`).
         """
-        if isinstance(batch, RankedBatch):
-            return self.run_ranked(batch)
-        return self.run_jagged(batch)
+        return self._reduce_counts(*self.classify_batch(batch))
 
     # ------------------------------------------------------------------
     # Classification / reduction split (multi-process serving seam)
@@ -393,7 +401,7 @@ class ShardedExecutor:
         front-end aggregator in batch order — keeping merged metrics
         bit-identical to a single-process run.
         """
-        return self._classify_jagged(batch)
+        return _classify([self], batch)[0]
 
     def reduce_classified(
         self,
@@ -516,41 +524,6 @@ class ShardedExecutor:
                 f"{self.topology.num_devices}-device topology"
             )
 
-    def _fused_lane_edges(self) -> dict[str, np.ndarray]:
-        """Every registered lane's per-table edges, base-shifted.
-
-        Each lane's cumulative rank cutoffs are shifted into the
-        concatenated rank space (``ranker.rank_base``) and stored in
-        the flat buffer's dtype so the fused comparisons never promote
-        (copy) it.
-        """
-        if self._fused_edges is None:
-            base = self.ranker.rank_base[:-1]
-            dtype = self.ranker.fused_dtype
-            self._fused_edges = {
-                lane.name: (base + lane.edges).astype(dtype)
-                for lane in self._lanes
-            }
-        return self._fused_edges
-
-    def run_jagged(
-        self, batch: JaggedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused accounting over a jagged batch.
-
-        Metric-identical to ``run_ranked(ranker.rank_batch(batch))``,
-        restructured for the serving shape (hundreds of tables, small
-        microbatches) where per-feature numpy calls dominate: every
-        feature's lookups are gathered through the base-shifted
-        :meth:`~repro.engine.ranked.RankRemapper.fused_rank` map into
-        one flat reused buffer, then classified by
-        :meth:`_classify_fused` — one linear pass over the whole
-        buffer per tier boundary (and per active fast-lane cutoff)
-        instead of several numpy calls per feature or a binary search
-        per lookup.
-        """
-        return self._reduce_counts(*self._classify_jagged(batch))
-
     def _zero_classification(self) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
     ]:
@@ -566,210 +539,93 @@ class ShardedExecutor:
             else None,
         )
 
-    def _classify_jagged(self, batch: JaggedBatch) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Gather + fused classification of one jagged batch (no reduce)."""
-        num_tables = len(self.plan)
-        if batch.num_features != num_tables:
-            raise ValueError(
-                f"batch has {batch.num_features} features, plan has "
-                f"{num_tables} tables"
-            )
-        total = batch.total_lookups
-        if total == 0:
-            return self._zero_classification()
-        dtype = self.ranker.fused_dtype
-        if (
-            self._flat_rank_scratch.dtype != dtype
-            or self._flat_rank_scratch.size < total
-        ):
-            self._flat_rank_scratch = np.empty(total, dtype=dtype)
-        flat = self._flat_rank_scratch[:total]
-        tables, starts, pos = [], [], 0
-        for j, feature in enumerate(batch):
-            values = feature.values
-            if values.size:
-                tables.append(j)
-                starts.append(pos)
-                np.take(
-                    self.ranker.fused_rank(j), values,
-                    out=flat[pos: pos + values.size],
-                )
-                pos += values.size
-        tables = np.asarray(tables, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
-        return self._classify_fused(flat, tables, starts)
+    def _count_block(
+        self,
+        ranks: np.ndarray,
+        tables: np.ndarray,
+        lengths: np.ndarray,
+        starts: np.ndarray,
+        mask: np.ndarray,
+        prefix: np.ndarray,
+    ) -> None:
+        """Count every lane over a block of several small features.
 
-    def _classify_fused(
-        self, flat: np.ndarray, tables: np.ndarray, starts: np.ndarray
-    ) -> tuple[
-        np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None
-    ]:
-        """Multi-lane linear classification of the flat rank buffer.
-
-        One prefix count per registered lane: expand each lookup's
-        per-table edge with ``repeat``, one comparison into the reused
-        mask, one segmented reduction — three linear passes per lane,
-        regardless of table count.  Tier boundaries are ``bound``
-        lanes (prefix differences give the per-tier counts), fast-lane
-        cutoffs (cache, staging) cost passes only for the tiers that
-        actually stage rows, the replica cutoff and each twrw strategy
-        cut are one lane each.  For the dominant hierarchies (two to
-        five tiers) this beats a per-lookup binary search over the
-        per-table edge grid; it is the direct generalization of the
-        original two-tier HBM-cut lane.
-
-        Args:
-            flat: base-shifted ranks, grouped by feature.
-            tables: table index of each (non-empty) feature group.
-            starts: group start offsets into ``flat``.
+        Each table's edges are repeated over its lookups, all lanes at
+        once, so the block costs one ``repeat``, one comparison and one
+        segmented reduction whatever its feature and lane counts.
         """
-        num_tables = len(self.plan)
-        num_tiers = self.topology.num_tiers
-        total = flat.size
-        sizes = np.diff(np.append(starts, total))
-        counts = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_tables, num_tiers), dtype=np.int64)
-        if self._mask_scratch.size < total:
-            self._mask_scratch = np.empty(total, dtype=bool)
-        mask = self._mask_scratch[:total]
-        edges = self._fused_lane_edges()
-        registry = self._lanes
+        lanes = len(self._lanes)
+        if not lanes:
+            return
+        edges = np.repeat(self._edges[:, tables], lengths, axis=1)
+        below = mask[: lanes * ranks.size].reshape(lanes, ranks.size)
+        np.less(ranks, edges, out=below)
+        # A block feature has fewer than _FEATURE_LOOKUPS <= 2**15
+        # lookups, so its per-lane counts fit int16.
+        prefix[:, tables] = np.add.reduceat(
+            below.view(np.int8), starts, axis=1, dtype=np.int16
+        )
 
-        def prefix_below(lane):
-            """Per-feature count of ranks below each feature's edge."""
-            np.less(flat, np.repeat(edges[lane.name][tables], sizes), out=mask)
-            return np.add.reduceat(mask.view(np.int8), starts, dtype=np.int64)
-
-        replicas = None
-        rep_group = None
-        if registry.replica is not None:
-            # One extra prefix pass classifies the replica lane; the
-            # replicated ranks are a prefix of tier 0's block, so tier
-            # membership below stays untouched and the lane is peeled
-            # off during reduction.
-            rep_group = prefix_below(registry.replica)
-            replicas = np.zeros(num_tables, dtype=np.int64)
-            replicas[tables] = rep_group
-        cuts = None
-        if registry.cuts:
-            # Strategy cut lanes: prefix counts at each twrw interior
-            # cut point; the reduction crosses them with the tier
-            # prefixes to fill the (tier, shard) cells.
-            cuts = np.zeros((num_tables, len(registry.cuts)), dtype=np.int64)
-            for lane in registry.cuts:
-                cuts[tables, lane.index] = prefix_below(lane)
-        prev = np.zeros(tables.size, dtype=np.int64)
-        for t in range(num_tiers):
-            hit_lane = registry.hit(t)
-            if hit_lane is not None:
-                baseline = rep_group if t == 0 and rep_group is not None else prev
-                hits[tables, t] = prefix_below(hit_lane) - baseline
-            bound_lane = registry.bound(t)
-            if bound_lane is not None:
-                below = prefix_below(bound_lane)
-                counts[tables, t] = below - prev
-                prev = below
-            else:
-                counts[tables, t] = sizes - prev
-        return counts, hits, replicas, cuts
-
-    def run_ranked(
-        self, ranked: RankedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Accounting over a rank-space batch.
-
-        For each table, per-tier counts come from threshold scans over
-        the rank array against the plan's cumulative tier boundaries
-        (prefix counting: tier ``t`` serves the ranks between boundary
-        ``t-1`` and boundary ``t``); the per-(tier, device) access and
-        traffic matrices are then pooled with ``bincount`` over the
-        plan's table → device assignment.
-        """
-        num_tables = len(self.plan)
-        if ranked.num_features != num_tables:
-            raise ValueError(
-                f"batch has {ranked.num_features} features, plan has "
-                f"{num_tables} tables"
-            )
-        counts, hits, replicas, cuts = self._zero_classification()
-        max_lookups = max((f.ranks.size for f in ranked), default=0)
-        if self._mask_scratch.size < max_lookups:
-            self._mask_scratch = np.empty(max_lookups, dtype=bool)
-        for j, feature in enumerate(ranked):
-            ranks = feature.ranks
-            if ranks.size:
-                rep = self._scan_feature(
-                    j, ranks, self._mask_scratch[: ranks.size],
-                    counts[j], hits[j],
-                    None if cuts is None else cuts[j],
-                )
-                if replicas is not None:
-                    replicas[j] = rep
-        return self._reduce_counts(counts, hits, replicas, cuts)
-
-    def _scan_feature(
+    def _count_feature(
         self,
         table_index: int,
         ranks: np.ndarray,
+        rows: int,
         mask: np.ndarray,
-        counts_row: np.ndarray,
-        hits_row: np.ndarray,
-        cuts_row: np.ndarray | None = None,
-    ) -> int:
-        """Per-lane prefix counts for one feature's ranks.
+        prefix: np.ndarray,
+    ) -> None:
+        """Count every lane over one large feature's ranks.
 
-        ``mask`` is a caller-provided bool buffer of ``ranks.size`` that
-        the threshold scans reuse.  The registered lanes drive the
-        scans: one prefix count at each cumulative tier boundary
-        (differences give the per-tier counts without ever
-        materializing tier ids), one per active fast-lane cutoff (the
-        per-table skip when the cutoff sits at the tier's lower
-        boundary is preserved), one per strategy cut lane into
-        ``cuts_row``.  Same lanes and same reduction as the fused path,
-        so bit-identical metrics.
-
-        Returns the feature's replica-lane count (ranks below the
-        replica cutoff; 0 without replication).  Replicated ranks stay
-        *included* in the tier-0 count — the reduction peels them off —
-        but are excluded from the cache-hit baseline.
+        Each lane is one comparison against the table's scalar edge
+        into the reused ``mask`` and a ``count_nonzero``.  An edge of 0
+        counts nothing and an edge at or past the table's ``rows``
+        counts everything, so neither scans; lanes sharing an edge
+        (an unstaged tier's hit lane and the bound below it) scan once.
         """
-        registry = self._lanes
-        replicated = 0
-        if registry.replica is not None:
-            cut = registry.replica.edges_list[table_index]
-            if cut:
-                np.less(ranks, cut, out=mask)
-                replicated = int(np.count_nonzero(mask))
-        if cuts_row is not None:
-            for lane in registry.cuts:
-                edge = lane.edges_list[table_index]
-                if edge:
+        n = ranks.size
+        mask = mask[:n]
+        seen = {0: 0}
+        column = []
+        for edge in self._lane_edge_rows[table_index]:
+            below = seen.get(edge)
+            if below is None:
+                if edge >= rows:
+                    below = n
+                else:
                     np.less(ranks, edge, out=mask)
-                    cuts_row[lane.index] = int(np.count_nonzero(mask))
-        num_tiers = counts_row.size
-        prev = 0
-        lower = 0
-        for t in range(num_tiers):
-            hit_lane = registry.hit(t)
-            if hit_lane is not None:
-                cutoff = hit_lane.edges_list[table_index]
-                if cutoff > lower:
-                    np.less(ranks, cutoff, out=mask)
-                    baseline = replicated if t == 0 else prev
-                    hits_row[t] = int(np.count_nonzero(mask)) - baseline
-            bound_lane = registry.bound(t)
-            if bound_lane is not None:
-                bound = bound_lane.edges_list[table_index]
-                np.less(ranks, bound, out=mask)
-                below = int(np.count_nonzero(mask))
-                counts_row[t] = below - prev
-                prev = below
-                lower = bound
+                    below = int(np.count_nonzero(mask))
+                seen[edge] = below
+            column.append(below)
+        prefix[:, table_index] = column
+
+    def _split_prefixes(
+        self, prefix: np.ndarray, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Turn per-lane prefix counts into ``(counts, hits, replicas, cuts)``.
+
+        ``prefix[l, j]`` counts table ``j``'s lookups below lane ``l``'s
+        edge and ``sizes[j]`` all of them.  Walking the lanes in
+        registration order (replica, cuts, then per tier hit and bound)
+        turns prefixes into per-tier counts: each bound lane closes its
+        tier, the last tier takes the remainder, and a hit lane counts
+        from its tier's lower boundary — or from the replica cutoff in
+        tier 0, whose replicated ranks the reduction peels off.
+        """
+        counts, hits, replicas, cuts = self._zero_classification()
+        prev = np.zeros_like(sizes)
+        for lane, below in zip(self._lanes, prefix):
+            if lane.role == "replica":
+                replicas[:] = below
+            elif lane.role == "cut":
+                cuts[:, lane.index] = below
+            elif lane.role == "hit":
+                base = replicas if lane.index == 0 and replicas is not None else prev
+                hits[:, lane.index] = below - base
             else:
-                counts_row[t] = ranks.size - prev
-        return replicated
+                counts[:, lane.index] = below - prev
+                prev = below
+        counts[:, -1] = sizes - prev
+        return counts, hits, replicas, cuts
 
     def _reduce_counts(
         self,
@@ -986,13 +842,7 @@ class ShardedExecutor:
         return taken
 
     def run(self, batches) -> RunMetrics:
-        """Execute a sequence of batches and collect metrics.
-
-        ``batches`` may mix :class:`~repro.data.batch.JaggedBatch` and
-        pre-ranked :class:`~repro.engine.ranked.RankedBatch` items;
-        pre-ranking via :meth:`prepare` amortizes the remap across
-        strategies sharing a profile.
-        """
+        """Execute a sequence of jagged batches and collect metrics."""
         rows = []
         browned = [] if self._brownout else None
         for batch in batches:
@@ -1137,96 +987,149 @@ def _collect_metrics(
     )
 
 
+#: Comparison cells (lookups x lanes) per block of small features: a
+#: block's ranks, repeated lane edges and comparison mask stay resident
+#: in a 2 MiB L2, so a block holds fewer lookups the more lanes an
+#: executor registers.
+_BLOCK_CELLS = 1 << 17
+#: Features with at least this many lookups are blocks of their own,
+#: compared against scalar edges: past this size a feature's per-lane
+#: call overhead costs less than repeating its edges.  At most 2**15,
+#: which the block reduction's int16 counts rely on.
+_FEATURE_LOOKUPS = 1 << 11
+
+
+def _classify(executors: list[ShardedExecutor], batch: JaggedBatch) -> list[
+    tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
+]:
+    """The lane classifier: ``(counts, hits, replicas, cuts)`` per executor.
+
+    Consecutive small features are gathered through the first
+    executor's rank maps into one reused block buffer of at most
+    :data:`_BLOCK_CELLS` comparisons, and every executor counts all of
+    its lanes over each block (:meth:`ShardedExecutor._count_block`); a
+    feature of :data:`_FEATURE_LOOKUPS` or more is a block of its own
+    (:meth:`ShardedExecutor._count_feature`).  Each block is gathered
+    once however many executors count it, and the per-lane prefix
+    counts become classifications once per batch.  Executors must share
+    the first one's model and profile ranking (:func:`replay_trace`
+    checks).
+    """
+    first = executors[0]
+    num_tables = len(first.plan)
+    if batch.num_features != num_tables:
+        raise ValueError(
+            f"batch has {batch.num_features} features, plan has "
+            f"{num_tables} tables"
+        )
+    ranker = first.ranker
+    maps = ranker.rank_maps
+    features = batch.features
+    sizes = [feature.values.size for feature in features]
+    lanes = max(len(ex._lanes) for ex in executors)
+    capacity = max(_BLOCK_CELLS // max(lanes, 1), _FEATURE_LOOKUPS)
+    largest = max(sizes, default=0)
+    need = (capacity, largest, max(lanes * capacity, largest))
+    if first._scratch[0].dtype != ranker.dtype or any(
+        buf.size < n for buf, n in zip(first._scratch, need)
+    ):
+        dtypes = (ranker.dtype, ranker.dtype, bool)
+        first._scratch = [
+            np.empty(max(n, buf.size), dtype=dtype)
+            for buf, n, dtype in zip(first._scratch, need, dtypes)
+        ]
+    block, wide, mask = first._scratch
+    prefixes = [
+        np.zeros((len(ex._lanes), num_tables), dtype=np.int64) for ex in executors
+    ]
+
+    def count_block(tables, lengths, stop):
+        tables = np.array(tables, dtype=np.int64)
+        lengths = np.array(lengths, dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        for ex, prefix in zip(executors, prefixes):
+            ex._count_block(block[:stop], tables, lengths, starts, mask, prefix)
+
+    tables: list[int] = []
+    lengths: list[int] = []
+    pos = 0
+    for j, n in enumerate(sizes):
+        if n >= _FEATURE_LOOKUPS:
+            ranks = maps[j].take(features[j].values, out=wide[:n])
+            for ex, prefix in zip(executors, prefixes):
+                ex._count_feature(j, ranks, maps[j].size, mask, prefix)
+        elif n:
+            if pos + n > capacity:
+                count_block(tables, lengths, pos)
+                tables, lengths, pos = [], [], 0
+            maps[j].take(features[j].values, out=block[pos: pos + n])
+            tables.append(j)
+            lengths.append(n)
+            pos += n
+    if pos:
+        count_block(tables, lengths, pos)
+    sizes = np.array(sizes, dtype=np.int64)
+    return [
+        ex._split_prefixes(prefix, sizes)
+        for ex, prefix in zip(executors, prefixes)
+    ]
+
+
 def replay_trace(
-    executors: list[ShardedExecutor],
-    batches,
-    ranker: RankRemapper | None = None,
+    executors: list[ShardedExecutor], batches
 ) -> list[RunMetrics]:
-    """Replay one trace against several plans in a single fused pass.
+    """Replay one trace against several plans, gathering each block once.
 
     The hot loop of every multi-strategy comparison (Tables 3-5,
     Figures 11-13) replays identical batches against several sharding
-    plans of the *same* model, profile, and topology.  This helper ranks
-    each feature's lookups once (into a reusable scratch buffer — no
-    per-batch allocation) and immediately runs every executor's
-    threshold scans while the rank array is still cache-resident, so the
-    trace's memory traffic is paid once rather than once per strategy.
+    plans of the *same* model, profile, and topology.  The classifier
+    translates each block of lookups to frequency ranks once and every
+    executor counts its lanes over the block while it is
+    cache-resident, so the trace's memory traffic is paid once rather
+    than once per strategy.
 
     Args:
         executors: one executor per plan; all must share the model,
-            profile, and topology (plans and cache models may differ).
-        batches: the common trace — jagged batches, or pre-ranked
-            batches from the shared profile's :class:`RankRemapper`.
-        ranker: shared rank remapper; defaults to the first executor's.
+            profile ranking, and tier count (plans, cache, staging and
+            replica models may differ).
+        batches: the common trace of jagged batches.
 
     Returns:
         One :class:`RunMetrics` per executor, identical to what
         ``executor.run(batches)`` would produce for each alone.
+
+    Raises:
+        ValueError: the executors differ in table or tier count, or
+            rank rows by different profiles (the trace is ranked once,
+            through the first executor's profile).
     """
     if not executors:
         return []
     first = executors[0]
-    num_tables = len(first.plan)
-    num_tiers = first.topology.num_tiers
-    for ex in executors:
-        if len(ex.plan) != num_tables or ex.topology.num_tiers != num_tiers:
+    for ex in executors[1:]:
+        if (
+            len(ex.plan) != len(first.plan)
+            or ex.topology.num_tiers != first.topology.num_tiers
+        ):
             raise ValueError(
                 "replay_trace requires executors sharing one model/topology"
             )
-    if ranker is None:
-        ranker = first.ranker
-    num_plans = len(executors)
+        if ex.profile is not first.profile and not first.ranker.same_ranking(
+            ex.ranker
+        ):
+            raise ValueError(
+                "replay_trace requires executors sharing one profile: "
+                "their frequency rankings differ"
+            )
     rows: list[list] = [[] for _ in executors]
     browned: list[list | None] = [
         [] if ex._brownout else None for ex in executors
     ]
-    mask = np.empty(0, dtype=bool)
-    scratches: dict = {}
     for batch in batches:
-        pre_ranked = isinstance(batch, RankedBatch)
-        if batch.num_features != num_tables:
-            raise ValueError(
-                f"batch has {batch.num_features} features, plans have "
-                f"{num_tables} tables"
-            )
-        counts = np.zeros((num_plans, num_tables, num_tiers), dtype=np.int64)
-        hits = np.zeros((num_plans, num_tables, num_tiers), dtype=np.int64)
-        replicas = np.zeros((num_plans, num_tables), dtype=np.int64)
-        cut_arrs = [
-            np.zeros((num_tables, ex._num_cut_lanes), dtype=np.int64)
-            if ex._num_cut_lanes
-            else None
-            for ex in executors
-        ]
-        for j, feature in enumerate(batch):
-            if pre_ranked:
-                ranks = feature.ranks
-            else:
-                values = feature.values
-                dtype = ranker.rank_dtype(j)
-                scratch = scratches.get(dtype)
-                if scratch is None or scratch.size < values.size:
-                    scratch = np.empty(max(values.size, 1), dtype=dtype)
-                    scratches[dtype] = scratch
-                ranks = scratch[: values.size]
-                ranker.rank_into(j, values, ranks)
-            n = ranks.size
-            if n == 0:
-                continue
-            if mask.size < n:
-                mask = np.empty(n, dtype=bool)
-            for s, ex in enumerate(executors):
-                cut_arr = cut_arrs[s]
-                replicas[s, j] = ex._scan_feature(
-                    j, ranks, mask[:n], counts[s, j], hits[s, j],
-                    None if cut_arr is None else cut_arr[j],
-                )
-        for s, ex in enumerate(executors):
-            rows[s].append(
-                ex._reduce_counts(
-                    counts[s], hits[s], replicas[s], cut_arrs[s]
-                )
-            )
+        for s, (ex, classified) in enumerate(
+            zip(executors, _classify(executors, batch))
+        ):
+            rows[s].append(ex._reduce_counts(*classified))
             if browned[s] is not None:
                 browned[s].append(ex.last_browned.copy())
     return [

@@ -76,9 +76,7 @@ def run_experiment(
         trace_seed: seed of the evaluation trace (differs from the
             profiling seed, so plans are tested out of sample).
         shared_batches: pre-generated batches to reuse across strategies
-            (guarantees every strategy sees identical traffic); may be
-            jagged batches or a pre-ranked trace from the profile's
-            :class:`~repro.engine.ranked.RankRemapper`.
+            (guarantees every strategy sees identical traffic).
         ranker: shared rank remapper for ``profile`` (built lazily by
             the executor when omitted).
     """
@@ -114,11 +112,12 @@ def compare_strategies(
 ) -> dict[str, ExperimentResult]:
     """Run several strategies over identical batches (Tables 3-5).
 
-    All strategies replay the common trace in one fused
-    :func:`~repro.engine.executor.replay_trace` pass: each batch's
-    lookups are translated to frequency ranks once (the Section 4.3
-    remapping transform) and every plan's threshold scans run while the
-    rank array is cache-resident, so per-strategy cost is pure counting.
+    All strategies replay the common trace in one
+    :func:`~repro.engine.executor.replay_trace` pass through the
+    executor's one lane classifier: each block of lookups is translated
+    to frequency ranks once (the Section 4.3 remapping transform) and
+    every plan counts its lanes over the block while it is
+    cache-resident, so per-strategy cost is pure counting.
     """
     if profile is None:
         profile = analytic_profile(model)
@@ -136,7 +135,7 @@ def compare_strategies(
                 model, plan, profile, topology, ranker=ranker
             )
         )
-    all_metrics = replay_trace(executors, shared_batches, ranker=ranker)
+    all_metrics = replay_trace(executors, shared_batches)
     return {
         sharder.name: ExperimentResult(
             strategy=sharder.name,

@@ -9,16 +9,12 @@ module makes that explicit.  A :class:`Lane` is one named per-table
 cutoff vector with a role; a :class:`LaneRegistry` is the ordered set
 the executor classifies against.
 
-Registration buys each lane every classification path for free:
-
-* the **fused** path computes one prefix count per lane over the whole
-  batch's flat rank buffer (three linear passes: repeat, compare,
-  segmented reduce — see ``ShardedExecutor._classify_fused``);
-* the **per-feature** path (pre-ranked batches and ``replay_trace``)
-  computes the same prefix count with one threshold scan per feature
-  (``ShardedExecutor._scan_feature``).
-
-Both feed the shared reduction, and so does the parity oracle
+Registration buys each lane the executor's one classifier for free:
+``ShardedExecutor`` stacks every lane's edges into one
+``(lanes, tables)`` matrix and counts all lanes over each block of
+gathered ranks — several small features at once through repeated
+edges, or one large feature against its scalar edges.  The prefix
+counts feed the shared reduction, and so does the parity oracle
 :class:`~repro.reference.engine.ScalarShardedExecutor`, which
 reconstructs ranks through the remapping tables instead: identical
 prefix counts mean bit-identical metrics — the per-lane parity gate
@@ -56,21 +52,17 @@ class Lane:
 
     ``edges[j]`` is table ``j``'s cumulative rank cutoff; a lookup of
     table ``j`` is *in* the lane when its frequency rank is strictly
-    below that edge.  ``edges_list`` is the plain-int copy the scalar
-    per-feature scans index (numpy scalar extraction is expensive at
-    hundreds of tables per batch).
+    below that edge.
     """
 
     name: str
     role: str  # "bound" | "hit" | "replica" | "cut"
     index: int  # tier for bound/hit, cut slot for cut, 0 for replica
     edges: np.ndarray
-    edges_list: tuple[int, ...]
 
 
 def _make_lane(name: str, role: str, index: int, edges) -> Lane:
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-    return Lane(name, role, index, edges, tuple(int(e) for e in edges))
+    return Lane(name, role, index, np.ascontiguousarray(edges, dtype=np.int64))
 
 
 class LaneRegistry:
@@ -129,7 +121,8 @@ def build_lanes(
             (zero-padded), or ``None``.
 
     The order — replica, strategy cuts, then per tier hit and bound —
-    is the classification pass order of both execution paths.
+    is the order the executor turns prefix counts into per-tier counts
+    in: each hit lane counts from the bound lane registered before it.
     """
     num_tiers = tier_bounds.shape[1]
     lanes: list[Lane] = []

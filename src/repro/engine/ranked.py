@@ -1,4 +1,4 @@
-"""Frequency-rank trace representation — the executor's input.
+"""Frequency-rank maps — the executor's view of a hashed index.
 
 Every sharding strategy in this repo splits a table's rows in the same
 descending-frequency order (the profile's
@@ -9,184 +9,64 @@ profile's frequency ordering — a plan-independent quantity, and it is
 the only per-lookup quantity any tier accounting ever needs:
 
 * the tier serving a lookup is the tier block its rank falls in
-  (``searchsorted`` over the plan's cumulative ``rows_per_tier``);
+  (a count of ranks below the plan's cumulative ``rows_per_tier``);
 * a device-cache hit is simply ``rank < cached_rows`` because the
   remapping layer (Section 4.3) packs each table's hottest rows first.
 
-:class:`RankRemapper` performs this hashed-index → rank translation
-once per trace, mirroring the paper's remapping transform that runs in
-the data-loading pipeline, outside the training critical path.  The
-resulting :class:`RankedBatch` can then be replayed against *any*
-number of plans with pure threshold counting — no per-lookup gathers,
-no per-row Python — which is where
-:class:`~repro.engine.executor.ShardedExecutor` gets its speedup.
+:class:`RankRemapper` holds one rank map per table and performs this
+hashed-index → rank translation with one gather, mirroring the paper's
+remapping transform that runs in the data-loading pipeline.  The
+executor's classifier gathers consecutive features into one block
+buffer through these maps and counts every plan's lanes over the block,
+so one gather serves any number of plans that share the profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from repro.data.batch import JaggedBatch, JaggedFeature
-
-
-@dataclass(frozen=True)
-class RankedFeature:
-    """One feature's lookups translated to frequency-rank space.
-
-    Attributes:
-        ranks: frequency rank of each lookup, shape ``(total_lookups,)``
-            — rank 0 is the table's expectedly-hottest row.  Stored as
-            ``int32`` whenever the table fits (all paper-scale tables
-            do), halving the memory traffic of every counting pass.
-        offsets: segment offsets, shape ``(batch_size + 1,)`` — same
-            jagged layout as :class:`~repro.data.batch.JaggedFeature`.
-    """
-
-    ranks: np.ndarray
-    offsets: np.ndarray
-
-    @property
-    def batch_size(self) -> int:
-        return self.offsets.size - 1
-
-    @property
-    def total_lookups(self) -> int:
-        return int(self.ranks.size)
-
-
-@dataclass(frozen=True)
-class RankedBatch:
-    """A full batch in rank space: one :class:`RankedFeature` per table.
-
-    Produced by :meth:`RankRemapper.rank_batch`; consumed by
-    :meth:`~repro.engine.executor.ShardedExecutor.run_ranked`.  A ranked
-    batch is tied to the profile whose ranking produced it, but not to
-    any plan — the same ranked trace replays against every strategy.
-    """
-
-    features: tuple[RankedFeature, ...]
-
-    @property
-    def num_features(self) -> int:
-        return len(self.features)
-
-    @property
-    def batch_size(self) -> int:
-        return self.features[0].batch_size if self.features else 0
-
-    @property
-    def total_lookups(self) -> int:
-        return sum(f.total_lookups for f in self.features)
-
-    def __iter__(self):
-        return iter(self.features)
-
-    def __getitem__(self, feature_index: int) -> RankedFeature:
-        return self.features[feature_index]
 
 
 class RankRemapper:
     """Translates hashed embedding indices to frequency ranks.
 
     One remapper serves every strategy evaluated against a given
-    profile: build it once per (model, profile) pair and share the
-    ranked traces it produces.
+    profile: build it once per (model, profile) pair and pass it to
+    each strategy's executor (``ShardedExecutor(..., ranker=...)``).
 
     Args:
         profile: a :class:`~repro.stats.profiler.ModelProfile`; each
             table's ``cdf.row_order`` defines the ranking.
 
-    Example::
-
-        remapper = RankRemapper(profile)
-        ranked = [remapper.rank_batch(b) for b in batches]
-        for executor in executors:          # one per strategy
-            metrics = executor.run(ranked)  # no re-ranking per strategy
+    Attributes:
+        rank_maps: one map per table; ``rank_maps[j][row]`` is the
+            frequency rank of hashed row ``row`` (rank 0 is the table's
+            expectedly-hottest row), so ``rank_maps[j].take(values)``
+            ranks a feature's lookups with one gather.
+        dtype: storage dtype of every rank map — ``int32`` whenever all
+            tables fit (all paper-scale tables do), which halves the
+            memory traffic of every counting pass.
     """
 
     def __init__(self, profile):
-        self._rank_of_row: list[np.ndarray] = []
-        for stats in profile:
-            order = np.asarray(stats.cdf.row_order, dtype=np.int64)
-            dtype = np.int32 if order.size <= np.iinfo(np.int32).max else np.int64
-            rank = np.empty(order.size, dtype=dtype)
-            rank[order] = np.arange(order.size, dtype=dtype)
-            self._rank_of_row.append(rank)
-        # Global rank space: table j owns ranks [rank_base[j], rank_base[j+1]).
-        self.rank_base = np.zeros(len(self._rank_of_row) + 1, dtype=np.int64)
-        np.cumsum([r.size for r in self._rank_of_row], out=self.rank_base[1:])
-        self._fused_rank: list[np.ndarray] | None = None
+        orders = [np.asarray(stats.cdf.row_order, dtype=np.int64) for stats in profile]
+        fits = max((o.size for o in orders), default=0) <= np.iinfo(np.int32).max
+        self.dtype = np.dtype(np.int32 if fits else np.int64)
+        self.rank_maps: list[np.ndarray] = []
+        for order in orders:
+            rank = np.empty(order.size, dtype=self.dtype)
+            rank[order] = np.arange(order.size, dtype=self.dtype)
+            self.rank_maps.append(rank)
 
     @property
     def num_tables(self) -> int:
-        return len(self._rank_of_row)
+        return len(self.rank_maps)
 
-    @property
-    def fused_dtype(self) -> np.dtype:
-        """Storage dtype of the base-shifted global rank space."""
-        if self.rank_base[-1] <= np.iinfo(np.int32).max:
-            return np.dtype(np.int32)
-        return np.dtype(np.int64)
-
-    def fused_rank(self, table_index: int) -> np.ndarray:
-        """Table's rank map shifted into the global rank space.
-
-        ``fused_rank(j)[row] == rank_of(row) + rank_base[j]`` — one
-        gather through it lands a lookup directly in the concatenated
-        rank space, which is what lets the executor's fused jagged path
-        count every table's tiers with a single ``searchsorted`` +
-        ``bincount`` over one flat buffer instead of per-feature scans.
-        Built lazily (it duplicates the rank tables' memory).
-        """
-        if self._fused_rank is None:
-            dtype = self.fused_dtype
-            self._fused_rank = [
-                rank.astype(dtype) + dtype.type(self.rank_base[j])
-                for j, rank in enumerate(self._rank_of_row)
-            ]
-        return self._fused_rank[table_index]
-
-    def rank_dtype(self, table_index: int) -> np.dtype:
-        """Rank storage dtype of one table (int32 unless the table is huge)."""
-        return self._rank_of_row[table_index].dtype
-
-    def rank_into(
-        self, table_index: int, values: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Rank one table's lookups into a caller-provided buffer.
-
-        The allocation-free variant of :meth:`rank_feature`, used by
-        :func:`~repro.engine.executor.replay_trace` to keep the rank
-        scratch cache-resident across plans.
-        """
-        if values.size:
-            np.take(self._rank_of_row[table_index], values, out=out)
-        return out
-
-    def rank_feature(self, table_index: int, feature: JaggedFeature) -> RankedFeature:
-        """Rank one feature's lookups (one gather, int32 output)."""
-        values = feature.values
-        if values.size == 0:
-            ranks = np.empty(0, dtype=self._rank_of_row[table_index].dtype)
-        else:
-            ranks = np.take(self._rank_of_row[table_index], values)
-        return RankedFeature(ranks, feature.offsets)
-
-    def rank_batch(self, batch: JaggedBatch) -> RankedBatch:
-        """Translate a whole jagged batch to rank space."""
-        if batch.num_features != self.num_tables:
-            raise ValueError(
-                f"batch has {batch.num_features} features, remapper covers "
-                f"{self.num_tables} tables"
-            )
-        return RankedBatch(
-            tuple(
-                self.rank_feature(j, feature) for j, feature in enumerate(batch)
+    def same_ranking(self, other: "RankRemapper") -> bool:
+        """Whether ``other`` ranks every table's rows identically."""
+        return other is self or (
+            other.num_tables == self.num_tables
+            and all(
+                np.array_equal(mine, theirs)
+                for mine, theirs in zip(self.rank_maps, other.rank_maps)
             )
         )
-
-    def rank_trace(self, batches) -> list[RankedBatch]:
-        """Rank a sequence of batches (amortizes across strategies)."""
-        return [self.rank_batch(b) for b in batches]

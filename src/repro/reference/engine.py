@@ -16,14 +16,13 @@ import numpy as np
 from repro.core.remap import RemappingTable
 from repro.data.batch import JaggedBatch
 from repro.engine.executor import ShardedExecutor
-from repro.engine.ranked import RankedBatch
 
 
 class ScalarShardedExecutor(ShardedExecutor):
     """Per-lookup reference of :class:`ShardedExecutor`.
 
-    Consumes jagged batches only: a pre-ranked batch has already been
-    through the rank translation this oracle exists to check.
+    Overrides :meth:`classify_batch`, so ``run_batch`` and ``run``
+    classify per lookup and reduce as production does.
     """
 
     @cached_property
@@ -36,17 +35,6 @@ class ScalarShardedExecutor(ShardedExecutor):
             )
             for p in self.plan
         ]
-
-    def run_batch(
-        self, batch: JaggedBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Classify per lookup, then reduce as production does."""
-        if isinstance(batch, RankedBatch):
-            raise ValueError(
-                "scalar executor cannot consume pre-ranked batches; "
-                "pass jagged batches or use ShardedExecutor"
-            )
-        return self._reduce_counts(*self.classify_batch(batch))
 
     def classify_batch(self, batch: JaggedBatch) -> tuple[
         np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None

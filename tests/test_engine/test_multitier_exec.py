@@ -1,8 +1,7 @@
 """Seed-loop parity: the vectorized multi-tier executor vs the scalar
 per-request reference.
 
-The fused rank-space paths (``run_jagged``'s interleaved edge grid,
-``run_ranked``'s threshold scans) must reproduce the per-lookup
+The rank-space block classifier must reproduce the per-lookup
 remap-table reference *bit for bit* on hierarchies of any depth —
 identical per-tier access counts, identical fast-lane hits, and, since
 all paths share one reduction, identical device times — across tier
@@ -154,21 +153,6 @@ class TestMultiTierParity:
             assert hits[2].sum() == 0  # tier 2 had no budget
         assert got_mid
 
-    def test_ranked_and_jagged_paths_agree(self):
-        model, profile, topology, plan = build_world(4, 8, 64)
-        staging = TierStagingModel(capacity_bytes=model.total_bytes // 24)
-        executor = ShardedExecutor(
-            model, plan, profile, topology, staging=staging
-        )
-        batches = list(TraceGenerator(model, 64, seed=13).batches(2))
-        for batch, ranked in zip(batches, executor.prepare(batches)):
-            tj, aj, hj, rj = executor.run_jagged(batch)
-            tr, ar, hr, rr = executor.run_ranked(ranked)
-            np.testing.assert_array_equal(tj, tr)
-            np.testing.assert_array_equal(aj, ar)
-            np.testing.assert_array_equal(hj, hr)
-            np.testing.assert_array_equal(rj, rr)
-
     def test_fused_replay_matches_individual_runs(self):
         model, profile, topology, _ = build_world(3, 2, 64)[:4]
         profile = analytic_profile(model)
@@ -187,7 +171,7 @@ class TestMultiTierParity:
             for p in plans
         ]
         batches = list(TraceGenerator(model, 64, seed=14).batches(3))
-        fused = replay_trace(executors, batches, ranker=ranker)
+        fused = replay_trace(executors, batches)
         for executor, metrics in zip(executors, fused):
             alone = executor.run(batches)
             np.testing.assert_array_equal(metrics.times_ms, alone.times_ms)

@@ -1,10 +1,10 @@
-"""Replica lane execution: routing parity, conservation, fused replay.
+"""Replica lane execution: routing parity, conservation, multi-plan replay.
 
-The executor's replica lane has three classification paths (fused
-jagged, ranked threshold scans, per-lookup scalar remap) and two
-routing disciplines (closed-form :func:`least_loaded_counts`, scalar
-per-lookup argmin).  Every combination must produce bit-identical
-metrics, and the routed accesses must conserve the batch's lookups.
+The executor's replica lane has two classification paths (the block
+classifier, the per-lookup scalar remap) and two routing disciplines
+(closed-form :func:`least_loaded_counts`, scalar per-lookup argmin).
+Every combination must produce bit-identical metrics, and the routed
+accesses must conserve the batch's lookups.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ class TestReplicatedExecutionParity:
             np.testing.assert_array_equal(av, as_)
             np.testing.assert_array_equal(hv, hs)
             np.testing.assert_array_equal(rv, rs)
-
-    def test_ranked_and_jagged_paths_agree(self):
-        model, profile, topology, plan = build_world(3)
-        executor = ShardedExecutor(model, plan, profile, topology)
-        twin = ShardedExecutor(model, plan, profile, topology)
-        batches = list(TraceGenerator(model, 64, seed=5).batches(2))
-        for batch, ranked in zip(batches, executor.prepare(batches)):
-            tj, aj, hj, rj = executor.run_jagged(batch)
-            tr, ar, hr, rr = twin.run_ranked(ranked)
-            np.testing.assert_array_equal(tj, tr)
-            np.testing.assert_array_equal(aj, ar)
-            np.testing.assert_array_equal(rj, rr)
 
     def test_fused_replay_matches_individual_runs(self):
         model, profile, topology, plan = build_world(4)

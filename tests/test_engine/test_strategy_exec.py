@@ -262,12 +262,12 @@ class TestLaneRegistry:
         )
         assert registry.names == ("replica", "cut:0", "hit:0", "bound:0")
         assert registry.replica is not None
-        assert registry.replica.edges_list == (1, 2)
+        assert registry.replica.edges.tolist() == [1, 2]
         assert len(registry.cuts) == 1
         assert registry.cuts[0].index == 0
-        assert registry.hit(0).edges_list == (2, 3)
+        assert registry.hit(0).edges.tolist() == [2, 3]
         assert registry.hit(1) is None
-        assert registry.bound(0).edges_list == (4, 6)
+        assert registry.bound(0).edges.tolist() == [4, 6]
         # The last tier never registers a bound lane: its count is the
         # remainder after all earlier bounds.
         assert registry.bound(1) is None

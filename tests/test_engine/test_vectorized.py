@@ -21,7 +21,7 @@ from repro.engine import (
 from repro.memory.tier import MemoryTier
 from repro.memory.topology import SystemTopology
 from repro.reference.engine import ScalarShardedExecutor
-from repro.stats import analytic_profile
+from repro.stats import analytic_profile, profile_trace
 from tests.test_core.conftest import build_model
 
 BATCH = 128
@@ -129,17 +129,6 @@ class TestVectorizedParity:
         for tier in ms.tier_accesses:
             assert np.array_equal(mv.tier_accesses[tier], ms.tier_accesses[tier])
 
-    def test_pre_ranked_batches_match(self, world):
-        model, profile, topology, plan = world
-        vectorized, scalar = _pair(world)
-        batches = list(TraceGenerator(model, BATCH, seed=36).batches(2))
-        ranked = vectorized.prepare(batches)
-        for batch, ranked_batch in zip(batches, ranked):
-            tv, av, _, _ = vectorized.run_batch(ranked_batch)
-            ts, as_, _, _ = scalar.run_batch(batch)
-            np.testing.assert_allclose(tv, ts, rtol=1e-9)
-            assert np.array_equal(av, as_)
-
 
 class TestReplayTrace:
     def test_fused_replay_matches_individual_runs(self, world):
@@ -155,7 +144,7 @@ class TestReplayTrace:
             for p in plans
         ]
         batches = list(TraceGenerator(model, BATCH, seed=37).batches(3))
-        fused = replay_trace(executors, batches, ranker=ranker)
+        fused = replay_trace(executors, batches)
         for executor, metrics in zip(executors, fused):
             alone = executor.run(batches)
             np.testing.assert_allclose(metrics.times_ms, alone.times_ms, rtol=1e-9)
@@ -163,6 +152,34 @@ class TestReplayTrace:
                 assert np.array_equal(
                     metrics.tier_accesses[tier], alone.tier_accesses[tier]
                 )
+
+    def test_different_profiles_rejected(self, world):
+        # The trace is ranked once, through the first executor's
+        # profile: an executor ranking rows by another profile would
+        # silently replay different tier counts than its own run.
+        model, profile, topology, plan = world
+        sampled = profile_trace(
+            model, TraceGenerator(model, BATCH, seed=5), num_batches=1,
+            sample_rate=0.5, seed=5,
+        )
+        executors = [
+            ShardedExecutor(model, plan, profile, topology),
+            ShardedExecutor(model, plan, sampled, topology),
+        ]
+        batches = list(TraceGenerator(model, BATCH, seed=38).batches(2))
+        with pytest.raises(ValueError, match="profile"):
+            replay_trace(executors, batches)
+
+    def test_equal_profiles_built_apart_accepted(self, world):
+        model, profile, topology, plan = world
+        executors = [
+            ShardedExecutor(model, plan, profile, topology),
+            ShardedExecutor(model, plan, analytic_profile(model), topology),
+        ]
+        batches = list(TraceGenerator(model, BATCH, seed=39).batches(2))
+        for executor, metrics in zip(executors, replay_trace(executors, batches)):
+            alone = executor.run(batches)
+            np.testing.assert_array_equal(metrics.times_ms, alone.times_ms)
 
     def test_empty_executor_list(self, world):
         assert replay_trace([], []) == []
@@ -192,35 +209,27 @@ class TestRankRemapper:
         model, profile, _, _ = world
         remapper = RankRemapper(profile)
         for j, stats in enumerate(profile):
-            hottest = int(stats.cdf.row_order[0])
-            feature = JaggedFeature(
-                np.array([hottest], dtype=np.int64),
-                np.array([0, 1], dtype=np.int64),
-            )
-            ranked = remapper.rank_feature(j, feature)
-            assert ranked.ranks[0] == 0
+            assert remapper.rank_maps[j][stats.cdf.row_order[0]] == 0
 
     def test_ranks_are_a_permutation(self, world):
         model, profile, _, _ = world
         remapper = RankRemapper(profile)
         j = 0
         num_rows = model.tables[j].num_rows
-        all_rows = JaggedFeature(
-            np.arange(num_rows, dtype=np.int64),
-            np.array([0, num_rows], dtype=np.int64),
-        )
-        ranked = remapper.rank_feature(j, all_rows)
-        assert sorted(ranked.ranks.tolist()) == list(range(num_rows))
+        ranks = remapper.rank_maps[j].take(np.arange(num_rows, dtype=np.int64))
+        assert sorted(ranks.tolist()) == list(range(num_rows))
 
     def test_int32_storage_for_normal_tables(self, world):
         _, profile, _, _ = world
         remapper = RankRemapper(profile)
+        assert remapper.dtype == np.int32
         for j in range(remapper.num_tables):
-            assert remapper.rank_dtype(j) == np.int32
+            assert remapper.rank_maps[j].dtype == np.int32
 
     def test_feature_count_mismatch_rejected(self, world):
-        model, profile, _, _ = world
-        remapper = RankRemapper(profile)
+        model, profile, topology, plan = world
+        executor = ShardedExecutor(model, plan, profile, topology)
+        assert executor.ranker.num_tables == model.num_tables
         bad = JaggedBatch(
             [
                 JaggedFeature(
@@ -228,5 +237,20 @@ class TestRankRemapper:
                 )
             ]
         )
-        with pytest.raises(ValueError):
-            remapper.rank_batch(bad)
+        with pytest.raises(ValueError, match="1 features"):
+            executor.classify_batch(bad)
+        with pytest.raises(ValueError, match="1 features"):
+            executor.run_batch(bad)
+        with pytest.raises(ValueError, match="1 features"):
+            replay_trace([executor], [bad])
+
+    def test_same_ranking(self, world):
+        model, profile, _, _ = world
+        remapper = RankRemapper(profile)
+        assert remapper.same_ranking(remapper)
+        assert remapper.same_ranking(RankRemapper(analytic_profile(model)))
+        other = profile_trace(
+            model, TraceGenerator(model, BATCH, seed=5), num_batches=1,
+            sample_rate=0.5, seed=5,
+        )
+        assert not remapper.same_ranking(RankRemapper(other))
